@@ -14,11 +14,11 @@ continuously audited while failure is injected:
   dead worker processes (a crashed worker used to kill the whole
   ``pool.map`` campaign), and degrades to typed ``ok: False`` results
   instead of crashing.
-- :mod:`repro.chaos.pool` — :class:`PersistentWorkerPool`, the default
+- :mod:`repro.chaos.pool` — :class:`PersistentWorkerPool`, the
   parallel execution engine behind the supervisor: long-lived workers
   pulling tasks over pipes with warm per-worker caches, shared across
-  campaigns via :func:`shared_pool`, under the same death/timeout/retry
-  contracts as the per-task spawn path.
+  campaigns via :func:`shared_pool`, under the supervisor's
+  death/timeout/retry contracts.
 - :mod:`repro.chaos.journal` — :class:`CampaignJournal`, the JSONL
   checkpoint log behind ``repro fleet --resume``: a SIGKILLed campaign
   resumes bit-identically, skipping completed shards.
@@ -43,7 +43,6 @@ from repro.chaos.pool import (
 )
 from repro.chaos.supervisor import (
     CampaignSupervisor,
-    POOL_MODES,
     SupervisionReport,
     SupervisorPolicy,
     TaskOutcome,
@@ -62,7 +61,6 @@ __all__ = [
     "ChaosSpec",
     "FLEET_KINDS",
     "IsolationAuditor",
-    "POOL_MODES",
     "PersistentWorkerPool",
     "SHARD_KINDS",
     "SupervisionReport",

@@ -1,21 +1,16 @@
 """Persistent worker pools: long-lived shard workers with warm state.
 
-The original supervised parallel path (:mod:`repro.chaos.supervisor`)
-spawned **one process per shard attempt**.  That bought clean failure
-isolation but paid the full process tax on every host task: a fork, an
-interpreter teardown, and — the expensive part at fleet scale — stone
-cold per-process caches (Skylake decode LUTs, geometry tables, memoized
-mapping state) rebuilt for every single host.
+A :class:`PersistentWorkerPool` is the parallel engine behind
+:class:`~repro.chaos.supervisor.CampaignSupervisor`.  It keeps
+``workers`` processes alive for the whole campaign (and, via
+:func:`shared_pool`, across campaigns in the same driver process).
+Workers loop on a private duplex pipe pulling ``(task, attempt)``
+messages and pushing result dicts back, so the per-task cost is one
+pickle round-trip, and per-process caches (Skylake decode LUTs,
+geometry tables, memoized mapping state) stay warm from the first task
+onward instead of being rebuilt for every host.
 
-A :class:`PersistentWorkerPool` keeps ``workers`` processes alive for
-the whole campaign (and, via :func:`shared_pool`, across campaigns in
-the same driver process).  Workers loop on a private duplex pipe pulling
-``(task, attempt)`` messages and pushing result dicts back, so the
-per-task cost drops to one pickle round-trip while the decode caches
-stay warm from the first task onward.
-
-The chaos contracts survive unchanged — the pool is a drop-in for the
-per-task spawn path behind ``CampaignSupervisor``:
+The chaos contracts hold on the pool:
 
 - a planned ``WorkerDeathError`` still becomes a **real**
   ``os._exit(WORKER_DEATH_EXIT)`` inside the worker, so the parent's
@@ -234,7 +229,7 @@ class PersistentWorkerPool:
     ) -> Tuple[List[dict], SupervisionReport]:
         """Execute every task on the pool under *policy*.
 
-        Same contract as ``CampaignSupervisor._run_parallel``: results
+        Same contract as ``CampaignSupervisor.run``: results
         in task order (empty list when ``collect=False`` — the
         streaming-merge path folds via *on_result* instead), plus the
         supervision report.  Tasks must carry ``.spec.host_id``.
@@ -273,7 +268,7 @@ class PersistentWorkerPool:
                     gave_up_result(assigned.task, assigned.outcome, policy),
                 )
                 return
-            self._sleep_backoff(policy, assigned.attempt)
+            policy.backoff(assigned.attempt)
             assigned.outcome.attempts = assigned.attempt + 1
             pending.append((assigned.task, assigned.attempt + 1))
 
@@ -354,12 +349,6 @@ class PersistentWorkerPool:
                     retire(assigned, timed_out=True, detail="timeout")
         ordered = [results[i] for i in sorted(results)] if collect else []
         return ordered, report
-
-    @staticmethod
-    def _sleep_backoff(policy: SupervisorPolicy, prior_attempts: int) -> None:
-        wait = policy.backoff_s * (2 ** (prior_attempts - 1))
-        if wait > 0:
-            time.sleep(wait)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Supervised execution of fleet host shards: timeouts, retries, and
 dead-worker detection.
 
-Before this module, :meth:`FleetCampaign._execute` handed every host
-task to ``pool.map`` — and a worker process that *died* (rather than
-raising) poisoned the pool and killed the whole campaign.  The
-:class:`CampaignSupervisor` replaces the pool with one dedicated
-process per in-flight task and a result pipe each, so the supervisor
-can tell the three failure modes apart and react:
+A worker process that *dies* (rather than raising) must not poison the
+campaign.  The :class:`CampaignSupervisor` runs parallel shards on a
+:class:`~repro.chaos.pool.PersistentWorkerPool` of long-lived workers,
+which tells the three failure modes apart and reacts:
 
 - **Worker death** (the process exits without sending a result): the
   shard is requeued with an incremented attempt counter, up to
@@ -26,24 +24,12 @@ planned worker death surfaces as :class:`WorkerDeathError` instead of a
 real process exit; the retry ladder is identical, which is what keeps
 ``--workers 1`` and ``--workers N`` merging bit-identically under the
 same chaos plan.
-
-Two parallel execution modes share that contract (``pool=``):
-
-- ``"persistent"`` (default) — a :class:`~repro.chaos.pool.PersistentWorkerPool`
-  of long-lived workers pulling tasks from the supervisor, reusing warm
-  per-worker state (geometry LUTs, decode caches) across tasks and
-  across campaigns.  This is the fast path.
-- ``"spawn"`` — the original one-process-per-task path, kept as an
-  escape hatch (``repro fleet --pool spawn``) so a pool regression can
-  be bisected against the old behaviour.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing import connection, get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -57,17 +43,14 @@ WORKER_DEATH_EXIT = 70
 #: Exit code for an unexpected crash inside the supervised entry shim.
 WORKER_CRASH_EXIT = 81
 
-#: Parallel execution modes (see module docstring).
-POOL_MODES = ("persistent", "spawn")
-
 
 class WorkerDeathError(ChaosError):
     """A planned worker-process death (chaos), surfaced in-process.
 
     Raised by the shard function when a ``WORKER_DEATH`` chaos spec
-    fires.  In a supervised subprocess the entry shim converts it into a
-    real ``os._exit`` so the parent exercises true dead-worker
-    detection; in the serial path the supervisor catches it directly.
+    fires.  A pool worker converts it into a real ``os._exit`` so the
+    parent exercises true dead-worker detection; in the serial path the
+    supervisor catches it directly.
     """
 
 
@@ -89,6 +72,12 @@ class SupervisorPolicy:
             raise ChaosError("max_attempts must be at least 1")
         if self.backoff_s < 0:
             raise ChaosError("backoff_s must be non-negative")
+
+    def backoff(self, prior_attempts: int) -> None:
+        """Sleep before the retry that follows *prior_attempts* attempts."""
+        wait = self.backoff_s * (2 ** (prior_attempts - 1))
+        if wait > 0:
+            time.sleep(wait)
 
 
 @dataclass
@@ -147,8 +136,8 @@ def gave_up_result(task: Any, outcome: TaskOutcome, policy: SupervisorPolicy) ->
     """Typed degraded result for a shard that exhausted its budget.
 
     Deterministic given the chaos plan: the same plan kills the same
-    attempts, so the same shards give up with the same error text — in
-    either pool mode, at any worker count.
+    attempts, so the same shards give up with the same error text — at
+    any worker count.
     """
     _log.warning(
         "host %d shard gave up after %d attempt(s)",
@@ -196,31 +185,6 @@ def note_timeout(host_id: int, attempt: int) -> None:
         )
 
 
-def _supervised_entry(conn, run_fn, task, attempt: int) -> None:
-    """Subprocess shim: run the shard, pipe the result back, and turn a
-    planned chaos death into a *real* process death so the parent's
-    dead-worker detection is exercised, not simulated."""
-    try:
-        try:
-            result = run_fn(task, attempt=attempt)
-        except WorkerDeathError:
-            os._exit(WORKER_DEATH_EXIT)
-        conn.send(result)
-        conn.close()
-    except Exception:  # noqa: BLE001 — any shim failure is a crash exit
-        os._exit(WORKER_CRASH_EXIT)
-
-
-@dataclass
-class _InFlight:
-    proc: Any
-    conn: Any
-    task: Any
-    attempt: int
-    deadline: float
-    outcome: TaskOutcome
-
-
 class CampaignSupervisor:
     """Run host shards to completion under a retry/timeout budget.
 
@@ -234,14 +198,10 @@ class CampaignSupervisor:
         run_fn: Callable[..., dict],
         *,
         policy: Optional[SupervisorPolicy] = None,
-        pool: str = "persistent",
         warmup: Optional[Callable[[], None]] = None,
     ):
-        if pool not in POOL_MODES:
-            raise ChaosError(f"unknown pool mode {pool!r}; know {POOL_MODES}")
         self.run_fn = run_fn
         self.policy = policy or SupervisorPolicy()
-        self.pool = pool
         self.warmup = warmup
 
     # ------------------------------------------------------------------
@@ -267,14 +227,12 @@ class CampaignSupervisor:
         """
         if workers <= 1 or len(tasks) <= 1:
             return self._run_serial(tasks, on_result, collect)
-        if self.pool == "persistent":
-            from repro.chaos.pool import shared_pool
+        from repro.chaos.pool import shared_pool
 
-            worker_pool = shared_pool(self.run_fn, workers, warmup=self.warmup)
-            return worker_pool.run(
-                tasks, self.policy, on_result=on_result, collect=collect
-            )
-        return self._run_parallel(tasks, workers, on_result, collect)
+        worker_pool = shared_pool(self.run_fn, workers, warmup=self.warmup)
+        return worker_pool.run(
+            tasks, self.policy, on_result=on_result, collect=collect
+        )
 
     # ------------------------------------------------------------------
     # Serial path (workers=1): in-process, same retry ladder
@@ -303,7 +261,7 @@ class CampaignSupervisor:
                         outcome.gave_up = True
                         result = gave_up_result(task, outcome, self.policy)
                         break
-                    self._backoff(attempt)
+                    self.policy.backoff(attempt)
                     attempt += 1
                     outcome.attempts = attempt
             if collect:
@@ -311,121 +269,3 @@ class CampaignSupervisor:
             if on_result is not None:
                 on_result(result)
         return results, report
-
-    # ------------------------------------------------------------------
-    # Parallel path: one process + pipe per in-flight shard
-    # ------------------------------------------------------------------
-
-    def _run_parallel(
-        self,
-        tasks: Sequence[Any],
-        workers: int,
-        on_result: Optional[Callable[[dict], None]],
-        collect: bool = True,
-    ) -> Tuple[List[dict], SupervisionReport]:
-        ctx = get_context()
-        report = SupervisionReport()
-        outcomes = {}
-        for task in tasks:
-            outcome = TaskOutcome(host_id=task.spec.host_id)
-            outcomes[id(task)] = outcome
-            report.outcomes.append(outcome)
-        pending: List[Tuple[Any, int]] = [(t, 1) for t in tasks]
-        inflight: Dict[Any, _InFlight] = {}  # sentinel -> state
-        results: Dict[int, dict] = {}  # index in `tasks` -> result
-        index_of = {id(t): i for i, t in enumerate(tasks)}
-
-        def finish(task: Any, result: dict) -> None:
-            results[index_of[id(task)]] = result
-            if on_result is not None:
-                on_result(result)
-
-        def spawn(task: Any, attempt: int) -> None:
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_supervised_entry,
-                args=(child, self.run_fn, task, attempt),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            inflight[proc.sentinel] = _InFlight(
-                proc=proc,
-                conn=parent,
-                task=task,
-                attempt=attempt,
-                deadline=time.monotonic() + self.policy.task_timeout_s,
-                outcome=outcomes[id(task)],
-            )
-
-        def retire(state: _InFlight, *, timed_out: bool) -> None:
-            """A shard attempt failed without a result: retry or give up."""
-            if timed_out:
-                state.outcome.timeouts += 1
-                note_timeout(state.task.spec.host_id, state.attempt)
-            else:
-                state.outcome.worker_deaths += 1
-                note_death(
-                    state.task.spec.host_id,
-                    state.attempt,
-                    f"worker exit code {state.proc.exitcode}",
-                )
-            if state.attempt >= self.policy.max_attempts:
-                state.outcome.gave_up = True
-                finish(
-                    state.task,
-                    gave_up_result(state.task, state.outcome, self.policy),
-                )
-                return
-            self._backoff(state.attempt)
-            state.outcome.attempts = state.attempt + 1
-            pending.append((state.task, state.attempt + 1))
-
-        while pending or inflight:
-            while pending and len(inflight) < workers:
-                task, attempt = pending.pop(0)
-                spawn(task, attempt)
-            now = time.monotonic()
-            wait_s = max(
-                0.001,
-                min((s.deadline for s in inflight.values()), default=now) - now,
-            )
-            ready = connection.wait(list(inflight), timeout=wait_s)
-            for sentinel in ready:
-                state = inflight.pop(sentinel)
-                got: Optional[dict] = None
-                # Drain the pipe *before* join: a dead process with no
-                # buffered result is a worker death.
-                try:
-                    if state.conn.poll():
-                        got = state.conn.recv()
-                except (EOFError, OSError):
-                    got = None
-                state.proc.join()
-                state.conn.close()
-                if got is not None:
-                    finish(state.task, got)
-                else:
-                    retire(state, timed_out=False)
-            # Enforce deadlines on whatever is still running.
-            now = time.monotonic()
-            for sentinel in [
-                s for s, st in inflight.items() if st.deadline <= now
-            ]:
-                state = inflight.pop(sentinel)
-                state.proc.terminate()
-                state.proc.join()
-                state.conn.close()
-                retire(state, timed_out=True)
-
-        ordered = [results[i] for i in sorted(results)] if collect else []
-        return ordered, report
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-
-    def _backoff(self, prior_attempts: int) -> None:
-        wait = self.policy.backoff_s * (2 ** (prior_attempts - 1))
-        if wait > 0:
-            time.sleep(wait)

@@ -314,7 +314,7 @@ def _cmd_fleet_cluster(args: argparse.Namespace, shards: int) -> int:
             mitigation=getattr(args, "mitigation", "siloz"),
             shards=shards,
         )
-        report = run_cluster_campaign(config, pool=args.pool)
+        report = run_cluster_campaign(config)
     except FleetError as exc:
         print(f"repro fleet: {exc}", file=sys.stderr)
         return 2
@@ -331,7 +331,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return _cmd_fleet_cluster(args, shards)
     resume = getattr(args, "resume", None)
     try:
-        campaign = FleetCampaign(_fleet_config(args), pool=args.pool)
+        campaign = FleetCampaign(_fleet_config(args))
         report = campaign.run(
             journal_path=getattr(args, "journal", None), resume_path=resume
         )
@@ -551,9 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=tuple(b.value for b in SimBackend),
         default="scalar",
-        help="simulation hot path: 'scalar' reference, 'batched' engine, "
-        "or numpy 'vectorized' kernels (identical results, see README "
-        "Performance)",
+        help="simulation hot path: 'scalar' reference or numpy "
+        "'vectorized' kernels (identical results, see README Performance)",
     )
     parser.add_argument(
         "-v",
@@ -694,13 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="resume a killed campaign: replay completed shards from the "
         "journal FILE, run only what's missing, keep journalling to it",
-    )
-    fleet.add_argument(
-        "--pool",
-        choices=("persistent", "spawn"),
-        default="persistent",
-        help="parallel execution engine: persistent warm worker pool "
-        "(default) or the per-task spawn path (bisection escape hatch)",
     )
     fleet.add_argument(
         "--shards",

@@ -95,10 +95,9 @@ class SimulatedDram:
     backend:
         :class:`~repro.engine.backend.SimBackend` (or its string value)
         selecting the activation hot path: ``SCALAR`` is the golden
-        reference, ``BATCHED`` routes :meth:`activate_batch` through the
-        array-backed :mod:`repro.engine.batch` loop, ``VECTORIZED``
-        through the numpy :mod:`repro.engine.vector` kernels.  All three
-        produce bit-identical results (see ``tests/test_differential.py``).
+        reference, ``VECTORIZED`` routes :meth:`activate_batch` through
+        the numpy :mod:`repro.engine.vector` kernels.  Both produce
+        bit-identical results (see ``tests/test_differential.py``).
     """
 
     def __init__(
@@ -128,24 +127,20 @@ class SimulatedDram:
         # mapping implementation has no batch decoder or numpy is absent.
         self._lines_fast = getattr(mapping, "decode_lines_batch", None)
         self.backend = SimBackend.parse(backend)
-        if self.backend is SimBackend.BATCHED:
-            # Imported lazily: repro.engine.batch itself imports the
-            # disturbance layer, so a top-level import would cycle.
-            from repro.engine.batch import BatchedDisturbanceModel
-
-            self.disturbance: DisturbanceModel = BatchedDisturbanceModel(
-                geom, profile, seed=seed
-            )
-        elif self.backend is SimBackend.VECTORIZED:
+        if self.backend is SimBackend.VECTORIZED:
+            # Imported lazily: the engine imports the disturbance layer,
+            # so a top-level import would cycle (and require numpy).
             try:
                 from repro.engine.vector import VectorizedDisturbanceModel
             except ImportError as exc:  # numpy not installed
                 raise DramError(
                     "the vectorized backend requires numpy; install it or "
-                    "pick the scalar/batched backend"
+                    "pick the scalar backend"
                 ) from exc
 
-            self.disturbance = VectorizedDisturbanceModel(geom, profile, seed=seed)
+            self.disturbance: DisturbanceModel = VectorizedDisturbanceModel(
+                geom, profile, seed=seed
+            )
         else:
             self.disturbance = DisturbanceModel(geom, profile, seed=seed)
         self.trr = Trr(geom, trr_config, seed=seed + 1) if trr_config else None
@@ -276,8 +271,8 @@ class SimulatedDram:
         """Issue a vector of ACTs to one (socket, bank).
 
         Semantically identical to ``for row in rows: activate(...)`` —
-        on the batched backend the loop runs through the inlined
-        :func:`repro.engine.batch.run_activation_batch` fast path; on
+        on the vectorized backend the batch runs through
+        :func:`repro.engine.vector.run_activation_batch_vectorized`; on
         the scalar backend it falls back to per-access :meth:`activate`.
         Returns the concatenated disturbance flips."""
         rows = rows if isinstance(rows, list) else list(rows)
@@ -287,10 +282,6 @@ class SimulatedDram:
                     socket=socket, bank=bank, rows=len(rows), when=self.clock
                 )
             )
-        if self.backend is SimBackend.BATCHED:
-            from repro.engine.batch import run_activation_batch
-
-            return run_activation_batch(self, socket, bank, rows)
         if self.backend is SimBackend.VECTORIZED:
             from repro.engine.vector import run_activation_batch_vectorized
 
@@ -481,7 +472,7 @@ class SimulatedDram:
         once, and runs a single ECC sweep per row over every touched
         word.  Returned bytes and healed bits match per-line
         :meth:`read` on the same span; only the ACT/clock accounting
-        differs (one ACT per touched row), identically across all three
+        differs (one ACT per touched row), identically on both
         backends.  Bulk consumers — migration snapshots, remediation
         copies — use this instead of :meth:`read`."""
         self.counters.reads += 1

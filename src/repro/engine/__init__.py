@@ -1,12 +1,14 @@
-"""Fast hot-path simulation engines (batched + vectorized).
+"""The fast hot-path simulation engine (vectorized).
 
 ``SimBackend`` selects between the scalar golden-reference path and the
-two fast paths; ``run_activation_batch`` is the inlined per-ACT loop and
-``run_activation_batch_vectorized`` the numpy whole-batch kernel, both
-used by :meth:`repro.dram.module.SimulatedDram.activate_batch`.
+vectorized fast path; ``run_activation_batch_vectorized`` is the numpy
+whole-batch kernel behind
+:meth:`repro.dram.module.SimulatedDram.activate_batch`, and
+``run_activation_batch`` its exact per-ACT fallback loop.
 
 The vectorized names resolve lazily (PEP 562) so importing the engine
-package — which the batched path does — never requires numpy.
+package — which the DRAM layer does for ``SimBackend`` — never requires
+numpy.
 """
 
 from typing import Any

@@ -1,15 +1,17 @@
-"""The batched hot-path simulation engine.
+"""The vectorized engine's exact fallback: the per-ACT batch loop.
 
 Hammer sweeps and CE-storm scenarios spend almost all of their time in
 ``SimulatedDram.activate`` → ``DisturbanceModel.on_activate``: per ACT
 the scalar path recomputes the aggressor's neighbor list, walks three
 dicts keyed by (socket, bank, row) tuples, and crosses half a dozen
-Python call frames.  This module removes that overhead without changing
-a single observable bit:
+Python call frames.  This module flattens that overhead without changing
+a single observable bit, and :mod:`repro.engine.vector` runs every batch
+it cannot vectorize (fault hooks, tracing, short batches) through it:
 
 - :class:`BatchedDisturbanceModel` stores per-bank pressure and victim
   thresholds in flat ``array('d')`` tables (indexed by row) and caches
-  each row's (victim, weight) spill list in a per-row memo table.
+  each row's (victim, weight) spill list in a per-row memo table; the
+  vectorized model extends it with numpy views of the same tables.
 - :func:`run_activation_batch` executes a whole vector of same-bank row
   activations in one inlined loop: clock advance, refresh windows, fault
   hooks, TRR sampling, disturbance spill, flip emission and TRR REF
@@ -17,13 +19,14 @@ a single observable bit:
   per-ACT call frames flattened away.
 
 **Equivalence contract.**  The scalar path is the golden reference.  The
-batched path consumes the same RNG streams (disturbance and TRR) in the
+fallback loop consumes the same RNG streams (disturbance and TRR) in the
 same order, performs the same float arithmetic in the same order, and
 mutates the same module-level structures (``flips_log``, counters,
 stored data, ECC), so replaying any access sequence through either
-backend yields identical flip sets, TRR decisions, ECC events and
+path yields identical flip sets, TRR decisions, ECC events and
 health escalations.  ``tests/test_differential.py`` enforces this over
-seeded attack patterns, fault plans and workload traces.
+seeded attack patterns, fault plans and workload traces, with the
+vectorized backend forced onto this loop for every batch.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class BatchedDisturbanceModel(DisturbanceModel):
     tables indexed by bank-local row: accumulated pressure, and the
     lazily-drawn per-victim threshold (NaN = not drawn yet).  Thresholds
     are drawn through the same ``random.Random`` stream in the same
-    first-touch order as the scalar model's dict, so both backends see
+    first-touch order as the scalar model's dict, so both paths see
     identical threshold values and identical downstream flip randomness.
     """
 
@@ -80,7 +83,7 @@ class BatchedDisturbanceModel(DisturbanceModel):
         #: (socket, bank) -> (pressure array, threshold array).  The
         #: vectorized subclass stores np.float64 arrays here instead;
         #: both expose float __getitem__/__setitem__, which is all the
-        #: batched loop needs.
+        #: fallback loop needs.
         self._banks: dict[tuple[int, int], tuple[Any, Any]] = {}
         #: row -> tuple[(victim, weight), ...]; lazily filled memo of
         #: the subarray-clipped spill targets (identical to _neighbors).
@@ -196,16 +199,16 @@ def run_activation_batch(
     """Issue *rows* as one batch of ACTs to (socket, bank).
 
     Requires the module's disturbance model to be a
-    :class:`BatchedDisturbanceModel`; callers go through
-    :meth:`SimulatedDram.activate_batch`, which dispatches on the
-    configured backend.  Every per-ACT side effect of the scalar
+    :class:`BatchedDisturbanceModel` (the vectorized model is one);
+    :func:`repro.engine.vector.run_activation_batch_vectorized` calls it
+    for every batch it does not vectorize.  Every per-ACT side effect of the scalar
     ``activate`` happens here in the same order; fault hooks still fire
     per activation, so injected faults land mid-batch exactly as they
     would mid-loop.
     """
     dist = dram.disturbance
     if not isinstance(dist, BatchedDisturbanceModel):
-        raise DramError("run_activation_batch needs the batched backend")
+        raise DramError("run_activation_batch needs the vectorized backend")
     rows = rows if isinstance(rows, list) else list(rows)
     geom = dram.geom
     check_row = geom.check_row

@@ -1,7 +1,7 @@
 """The vectorized (numpy) hot-path simulation engine.
 
-Third :class:`~repro.engine.backend.SimBackend`: the batched loop of
-:mod:`repro.engine.batch` already flattened the per-ACT call frames, but
+The fast :class:`~repro.engine.backend.SimBackend`: the fallback loop of
+:mod:`repro.engine.batch` already flattens the per-ACT call frames, but
 it still walks Python bytecode once per activation.  This module moves
 the RNG-free bulk math of a whole activation batch into numpy while
 keeping the repo's golden equivalence contract — every flip set, TRR
@@ -17,7 +17,7 @@ reference.  The design splits each batch into:
    subtraction form ``clock - last_refresh >= window`` elementwise.
 
 2. **Rare RNG-consuming events (exact scalar code).**  First-touch
-   threshold draws are handled by running the batched per-ACT loop over
+   threshold draws are handled by running the per-ACT fallback loop over
    a prefix of the batch until every victim has a drawn threshold;
    threshold-crossing flip emission replays the scalar draw sequence in
    global ``(ACT index, neighbor order)`` order.  Crucially the pressure
@@ -43,7 +43,7 @@ takes the generic whole-batch matrix path (:func:`_finals_generic`).
 Both produce identical state.
 
 Batches with registered fault hooks, with tracing enabled, or shorter
-than :data:`MIN_VECTOR_BATCH` delegate to the (equivalent) batched loop:
+than :data:`MIN_VECTOR_BATCH` delegate to the (equivalent) fallback loop:
 hooks mutate mid-batch state, traces must interleave per ACT, and short
 vectors do not amortize the numpy set-up cost.
 """
@@ -68,9 +68,10 @@ from repro.errors import DramError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (module -> engine)
     from repro.dram.module import SimulatedDram
 
-#: Batches shorter than this run through the batched per-ACT loop (still
-#: bit-identical, just not vectorized).  Patchable in tests to force the
-#: vector path onto tiny batches.
+#: Batches shorter than this run through the per-ACT fallback loop (still
+#: bit-identical, just not vectorized).  Patchable in tests: 0 forces the
+#: vector path onto tiny batches, a huge value forces every batch onto
+#: the fallback loop.
 MIN_VECTOR_BATCH: int = 96
 
 #: How far into a batch to look for a repeat of its first row when
@@ -109,13 +110,13 @@ def bulk_uniforms(rng: random.Random, n: int) -> np.ndarray:
 
 
 class VectorizedDisturbanceModel(BatchedDisturbanceModel):
-    """Numpy-backed disturbance state, RNG-compatible with both backends.
+    """Numpy-backed disturbance state, RNG-compatible with the scalar model.
 
     Per touched (socket, bank) the model keeps accumulated pressure and
     lazily-drawn victim thresholds (NaN = not drawn) in ``np.float64``
     arrays.  IEEE-754 arithmetic on ``np.float64`` scalars matches
     Python floats bit for bit, so the inherited scalar-compatible
-    methods and the batched fallback loop run unchanged on these tables;
+    methods and the per-ACT fallback loop run unchanged on these tables;
     only :func:`run_activation_batch_vectorized` exploits their numpy
     nature.
     """
@@ -150,7 +151,7 @@ class VectorizedDisturbanceModel(BatchedDisturbanceModel):
     def on_refresh_all(self) -> None:
         """Full refresh window: clear every bank's pressure table.
 
-        In-place (like the batched model) so hoisted references held by
+        In-place (like the array-backed base model) so hoisted references held by
         an in-flight batch runner stay valid."""
         for press, _ in self._banks.values():
             press[:] = 0.0
@@ -186,7 +187,7 @@ def run_activation_batch_vectorized(
     Requires the module's disturbance model to be a
     :class:`VectorizedDisturbanceModel`; callers go through
     :meth:`SimulatedDram.activate_batch`.  Produces bit-identical state
-    and results to the scalar and batched backends (enforced by
+    and results to the scalar backend (enforced by
     ``tests/test_differential.py``).
     """
     dist = dram.disturbance
@@ -196,7 +197,7 @@ def run_activation_batch_vectorized(
     if not rows or len(rows) < MIN_VECTOR_BATCH or dram._hooks or obs.ENABLED:
         # Fault hooks mutate mid-batch state, tracing must interleave
         # events per ACT, and short batches don't amortize the numpy
-        # set-up; the batched loop is exact for all three.
+        # set-up; the fallback loop is exact for all three.
         return run_activation_batch(dram, socket, bank, rows)
 
     geom = dram.geom
@@ -323,7 +324,7 @@ def _span_head(
     """Per-span refresh-window scan and TRR pass, shared by both spans.
 
     Returns ``(window_pos, trr_victims, last_refresh)`` and mutates the
-    TRR sampler/RNG/counter state exactly like the batched loop would.
+    TRR sampler/RNG/counter state exactly like the fallback loop would.
     Disturbance state never feeds back into TRR, so this whole pass is
     valid regardless of later crossing events.
     """

@@ -46,6 +46,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 
+from repro.engine.backend import BackendError, SimBackend
 from repro.errors import FleetError, PlacementError
 from repro.hv.hypervisor import VmSpec
 from repro.log import get_logger
@@ -107,6 +108,10 @@ class ClusterConfig:
             raise FleetError("workers must be positive")
         if self.scenario not in SCENARIOS:
             raise FleetError(f"unknown scenario {self.scenario!r}; know {SCENARIOS}")
+        try:
+            SimBackend.parse(self.backend)
+        except BackendError as exc:
+            raise FleetError(str(exc)) from None
         if not 0 < self.shards <= self.hosts:
             raise FleetError("shards must be in 1..hosts")
 
@@ -454,9 +459,8 @@ def _peak_rss_mib() -> float:
 class ClusterCampaign:
     """Sharded admission over logical twins + streaming supervised merge."""
 
-    def __init__(self, config: ClusterConfig, *, pool: str = "persistent"):
+    def __init__(self, config: ClusterConfig):
         self.config = config
-        self.pool = pool
         self.shards: list[ClusterShard] = []
         self.fold: StreamingMerge | None = None
 
@@ -526,9 +530,7 @@ class ClusterCampaign:
         assert fold is not None
         tasks = self.tasks()
 
-        supervisor = CampaignSupervisor(
-            run_host_task, pool=self.pool, warmup=warm_worker
-        )
+        supervisor = CampaignSupervisor(run_host_task, warmup=warm_worker)
         _, supervision = supervisor.run(
             tasks,
             cfg.workers,
@@ -566,11 +568,9 @@ class ClusterCampaign:
         return counts
 
 
-def run_cluster_campaign(
-    config: ClusterConfig, *, pool: str = "persistent"
-) -> ClusterReport:
+def run_cluster_campaign(config: ClusterConfig) -> ClusterReport:
     """One-call convenience used by the CLI and the scaling bench."""
-    return ClusterCampaign(config, pool=pool).run()
+    return ClusterCampaign(config).run()
 
 
 __all__ = [

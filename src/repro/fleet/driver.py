@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.chaos.plan import ChaosKind, ChaosPlan, ChaosSpec
 from repro.chaos.supervisor import WorkerDeathError
+from repro.engine.backend import BackendError, SimBackend
 from repro.errors import FleetError
 from repro.hv.hypervisor import VmSpec
 from repro.log import get_logger
@@ -96,6 +97,10 @@ class CampaignConfig:
             raise FleetError("workers must be positive")
         if self.scenario not in SCENARIOS:
             raise FleetError(f"unknown scenario {self.scenario!r}; know {SCENARIOS}")
+        try:
+            SimBackend.parse(self.backend)
+        except BackendError as exc:
+            raise FleetError(str(exc)) from None
         if self.chaos_events < 0:
             raise FleetError("chaos_events must be non-negative")
         from repro.mitigations import mitigation_names
@@ -362,15 +367,8 @@ def run_host_task(task: HostTask, attempt: int = 1) -> dict:
 class FleetCampaign:
     """Placement + supervised per-host simulation + deterministic merge."""
 
-    def __init__(self, config: CampaignConfig, *, pool: str = "persistent"):
+    def __init__(self, config: CampaignConfig):
         self.config = config
-        #: Parallel execution engine: ``"persistent"`` (warm worker
-        #: pool, the default) or ``"spawn"`` (one process per task, the
-        #: pre-pool path kept as a bisection escape hatch).  Runtime
-        #: machinery only — deliberately *not* part of
-        #: :class:`CampaignConfig`, so journals, golden fixtures, and
-        #: merge digests are pool-mode independent by construction.
-        self.pool = pool
         self.fleet: Fleet | None = None
         self.admission: AdmissionController | None = None
         self._chaos_plan: ChaosPlan | None = None
@@ -526,9 +524,7 @@ class FleetCampaign:
             journal = CampaignJournal(journal_path or resume_path)
             journal.open(self.config_digest())
         try:
-            supervisor = CampaignSupervisor(
-                run_host_task, pool=self.pool, warmup=warm_worker
-            )
+            supervisor = CampaignSupervisor(run_host_task, warmup=warm_worker)
             results, supervision = supervisor.run(
                 pending,
                 cfg.workers,
@@ -654,9 +650,9 @@ def _make_corruptor(flip_offset: int):
     return corrupt
 
 
-def run_campaign(config: CampaignConfig, *, pool: str = "persistent") -> FleetReport:
+def run_campaign(config: CampaignConfig) -> FleetReport:
     """One-call convenience used by the CLI and the scaling bench."""
-    return FleetCampaign(config, pool=pool).run()
+    return FleetCampaign(config).run()
 
 
 __all__ = [

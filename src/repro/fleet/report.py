@@ -41,7 +41,7 @@ def scrub_host_result(result: dict) -> dict:
     The ``trace`` section (merged per-kind counter deltas shipped back
     by pool workers) depends on whether observability was enabled, not
     on the simulated machine, so it must not participate in the
-    workers=1 ≡ workers=N ≡ spawn/persistent digest contract.
+    workers=1 ≡ workers=N digest contract.
     """
     return {k: v for k, v in result.items() if k != "trace"}
 
@@ -137,7 +137,7 @@ class FleetReport:
         not results (the differential engine guarantees bit-identical
         outcomes), so both are scrubbed from the hashed form — that is
         precisely what lets ``--workers 4`` compare equal to
-        ``--workers 1`` and ``--backend batched`` to scalar.  The
+        ``--workers 1`` and ``--backend vectorized`` to scalar.  The
         ``supervision`` section is scrubbed for the same reason: retry
         counts depend on wall-clock scheduling, never on the simulated
         machine.  The chaos aftermath (``degraded``, ``audit``) IS

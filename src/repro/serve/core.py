@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.engine.backend import BackendError, SimBackend
 from repro.errors import FleetError, ReproError, ServeError
 from repro.fleet.admission import AdmissionController, AdmissionDecision
 from repro.fleet.host import Fleet
@@ -80,6 +81,10 @@ class ServiceConfig:
                 f"unknown placement policy {self.policy!r}; "
                 f"know {sorted(SCHEDULERS)}"
             )
+        try:
+            SimBackend.parse(self.backend)
+        except BackendError as exc:
+            raise ServeError(str(exc)) from None
         if self.attack_budget <= 0:
             raise ServeError("attack_budget must be positive")
 

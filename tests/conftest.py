@@ -6,13 +6,13 @@ CI runs ``pytest -m tier1`` as the gate and ``pytest -m tier2`` as a
 separate job; running pytest with no marker filter still runs
 everything.
 
-**Differential harness.**  The batched engine (:mod:`repro.engine`) is
-defined to be bit-for-bit equivalent to the scalar reference path.
+**Differential harness.**  The vectorized engine (:mod:`repro.engine`)
+is defined to be bit-for-bit equivalent to the scalar reference path.
 :func:`replay_program` drives one seeded program of mixed hammer
 patterns, fault injections, idle time, scrubs, and guest reads/writes
-against a chosen backend and returns a comparable transcript;
-``tests/test_differential.py`` replays the same seed through both
-backends and diffs the transcripts.
+against a chosen engine leg (:data:`ENGINE_LEGS`) and returns a
+comparable transcript; ``tests/test_differential.py`` replays the same
+seed through every leg and diffs the transcripts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from __future__ import annotations
 import os
 import random
 import signal
+import sys
 import threading
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 import pytest
 
@@ -76,8 +79,44 @@ def _global_test_timeout(request):
 
 
 # ---------------------------------------------------------------------------
-# Differential replay harness (batched engine vs scalar golden reference)
+# Differential replay harness (vectorized engine vs scalar golden reference)
 # ---------------------------------------------------------------------------
+
+#: DRAM engine legs every differential test compares: the scalar golden
+#: reference, the vectorized engine as shipped, and the vectorized engine
+#: with every batch forced onto its per-ACT fallback loop
+#: (:mod:`repro.engine.batch`), which otherwise runs only for fault
+#: hooks, tracing and short batches.
+ENGINE_LEGS = ("scalar", "vectorized", "fallback")
+
+
+@contextmanager
+def sim_backend(leg: str) -> Iterator[str]:
+    """Yield the ``SimBackend`` value that runs engine *leg*.
+
+    ``"fallback"`` is the vectorized backend with ``MIN_VECTOR_BATCH``
+    raised above every batch length for the duration of the block."""
+    if leg != "fallback":
+        yield leg
+        return
+    from repro.engine import vector
+
+    saved = vector.MIN_VECTOR_BATCH
+    vector.MIN_VECTOR_BATCH = sys.maxsize
+    try:
+        yield "vectorized"
+    finally:
+        vector.MIN_VECTOR_BATCH = saved
+
+
+def on_each_leg(run: Callable[[str], Any]) -> dict[str, Any]:
+    """``{leg: run(backend)}`` for every leg of :data:`ENGINE_LEGS`."""
+    out = {}
+    for leg in ENGINE_LEGS:
+        with sim_backend(leg) as backend:
+            out[leg] = run(backend)
+    return out
+
 
 #: Geometry for differential replays: several subarrays per bank and
 #: several banks, but small enough that 50 fuzz seeds stay cheap.
@@ -95,15 +134,19 @@ def _build_dram(backend: str, seed: int, rng: random.Random) -> SimulatedDram:
     )
 
 
-def replay_program(backend: str, seed: int) -> dict:
-    """Run one seeded mixed program against *backend*; return the
+def replay_program(leg: str, seed: int) -> dict:
+    """Run one seeded mixed program on engine *leg*; return the
     observable transcript (flips, ECC events, TRR activity, counters,
     stored corruption, clock) for differential comparison.
 
-    The program itself is a pure function of *seed* — both backends see
-    byte-identical operation streams; only the engine under them
-    differs.
+    The program itself is a pure function of *seed* — every leg sees
+    byte-identical operation streams; only the engine under it differs.
     """
+    with sim_backend(leg) as backend:
+        return _replay_program(backend, seed)
+
+
+def _replay_program(backend: str, seed: int) -> dict:
     rng = random.Random(seed)
     dram = _build_dram(backend, seed, rng)
     geom = dram.geom
@@ -182,17 +225,17 @@ def replay_program(backend: str, seed: int) -> dict:
 def diff_transcripts(
     seed: int,
     scalar: dict,
-    batched: dict,
-    labels: tuple[str, str] = ("scalar", "batched"),
+    other: dict,
+    labels: tuple[str, str] = ("scalar", "vectorized"),
 ) -> list[str]:
     """Human-readable field-level differences (empty = equivalent)."""
     a_name, b_name = labels
     problems = []
     for key in scalar:
-        if scalar[key] != batched[key]:
+        if scalar[key] != other[key]:
             problems.append(
                 f"seed={seed}: field {key!r} diverged\n"
                 f"  {a_name}: {scalar[key]!r}\n"
-                f"  {b_name}: {batched[key]!r}"
+                f"  {b_name}: {other[key]!r}"
             )
     return problems

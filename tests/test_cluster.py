@@ -133,6 +133,8 @@ class TestLogicalTwins:
             ClusterConfig(shards=0)
         with pytest.raises(FleetError):
             ClusterConfig(scenario="nope")
+        with pytest.raises(FleetError, match="'scalar', 'vectorized'"):
+            ClusterConfig(backend="batched")
 
     def test_iter_arrival_trace_matches_list_form(self):
         assert list(iter_arrival_trace(7, 25)) == generate_arrival_trace(7, 25)
@@ -155,7 +157,6 @@ class TestClusterCampaign:
         variants = [
             run_cluster_campaign(_cluster_cfg(workers=2)),
             run_cluster_campaign(_cluster_cfg(workers=2, backend="vectorized")),
-            run_cluster_campaign(_cluster_cfg(workers=2), pool="spawn"),
         ]
         for v in variants:
             assert v.merge_digest == reference.merge_digest
@@ -295,11 +296,12 @@ class TestClusterCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["fleet"])
-        assert args.pool == "persistent" and args.shards == "auto"
-        args = build_parser().parse_args(
-            ["fleet", "--pool", "spawn", "--shards", "4"]
-        )
-        assert args.pool == "spawn" and args.shards == "4"
+        assert args.shards == "auto"
+        args = build_parser().parse_args(["fleet", "--shards", "4"])
+        assert args.shards == "4"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fleet", "--pool", "spawn"])
+        assert exc.value.code == 2
 
     def test_explicit_shards_runs_cluster_path(self, capsys):
         from repro.cli import main

@@ -1,14 +1,17 @@
-"""Differential harness: the fast engines vs the scalar golden reference.
+"""Differential harness: the fast engine vs the scalar golden reference.
 
-The ``SimBackend.BATCHED`` and ``SimBackend.VECTORIZED`` fast paths
-(:mod:`repro.engine`) are only admissible because they are
-*observationally identical* to the scalar path: same flip sets, same TRR decisions, same ECC events, same
-health-monitor escalations, same clocks and counters.  These tests
-enforce that contract on three levels:
+The ``SimBackend.VECTORIZED`` fast path (:mod:`repro.engine`) is only
+admissible because it is *observationally identical* to the scalar
+path: same flip sets, same TRR decisions, same ECC events, same
+health-monitor escalations, same clocks and counters.  DRAM-level tests
+run every leg of :data:`conftest.ENGINE_LEGS`, so the per-ACT fallback
+loop the vectorized engine keeps for hooks, tracing and short batches
+is pinned to scalar on its own.  These tests enforce that contract on
+three levels:
 
 1. seeded mixed programs (hammer shapes + fault plans + scrubs + guest
    I/O) through :func:`conftest.replay_program`, compared pairwise
-   across all three backends — a handful of seeds in tier1, ~50 seeds
+   across all engine legs — a handful of seeds in tier1, ~50 seeds
    in the tier2 fuzz job (every failure names the seed to replay);
 2. the end-to-end CE-storm scenario, whose transcript/replay key must
    be backend-independent;
@@ -20,24 +23,25 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import diff_transcripts, replay_program
+from conftest import ENGINE_LEGS, diff_transcripts, on_each_leg, replay_program
 
 from repro.units import MiB
 
 
-BACKENDS = ("scalar", "batched", "vectorized")
+#: Memory-controller backends (the DRAM fallback leg does not apply).
+BACKENDS = ("scalar", "vectorized")
 
 
 def _assert_equivalent(seed: int) -> None:
-    transcripts = {backend: replay_program(backend, seed) for backend in BACKENDS}
+    transcripts = {leg: replay_program(leg, seed) for leg in ENGINE_LEGS}
     problems = []
-    for i, a in enumerate(BACKENDS):
-        for b in BACKENDS[i + 1 :]:
+    for i, a in enumerate(ENGINE_LEGS):
+        for b in ENGINE_LEGS[i + 1 :]:
             problems += diff_transcripts(
                 seed, transcripts[a], transcripts[b], labels=(a, b)
             )
     assert not problems, (
-        f"backends diverged; replay with replay_program(<backend>, {seed}):\n"
+        f"engine legs diverged; replay with replay_program(<leg>, {seed}):\n"
         + "\n".join(problems)
     )
 
@@ -69,9 +73,9 @@ class TestScenarioTranscripts:
     def test_ce_storm_replay_key_backend_independent(self, seed):
         from repro.faults.scenario import run_ce_storm_scenario
 
-        runs = {b: run_ce_storm_scenario(seed=seed, backend=b) for b in BACKENDS}
+        runs = on_each_leg(lambda b: run_ce_storm_scenario(seed=seed, backend=b))
         scalar = runs["scalar"]
-        for backend in BACKENDS[1:]:
+        for backend in ENGINE_LEGS[1:]:
             other = runs[backend]
             assert scalar.transcript == other.transcript, f"seed={seed} {backend}"
             assert scalar.replay_key() == other.replay_key(), backend
@@ -84,17 +88,17 @@ class TestAttackStack:
         from repro.core import SilozHypervisor
         from repro.hv import Machine, VmSpec
 
-        outcomes = {}
-        logs = {}
-        for backend in BACKENDS:
+        def campaign(backend):
             hv = SilozHypervisor.boot(Machine.small(seed=7, backend=backend))
             attacker = hv.create_vm(VmSpec(name="attacker", memory_bytes=2 * MiB))
             hv.create_vm(VmSpec(name="victim", memory_bytes=2 * MiB))
-            outcomes[backend] = attack_from_vm(
-                hv, attacker, seed=7, pattern_budget=12
-            )
-            logs[backend] = hv.machine.dram.flips_log
-        for backend in BACKENDS[1:]:
+            outcome = attack_from_vm(hv, attacker, seed=7, pattern_budget=12)
+            return outcome, hv.machine.dram.flips_log
+
+        runs = on_each_leg(campaign)
+        outcomes = {leg: outcome for leg, (outcome, _) in runs.items()}
+        logs = {leg: log for leg, (_, log) in runs.items()}
+        for backend in ENGINE_LEGS[1:]:
             assert logs["scalar"] == logs[backend], backend
             assert outcomes["scalar"].summary() == outcomes[backend].summary()
             assert (
@@ -109,8 +113,7 @@ class TestAttackStack:
         from repro.dram.module import SimulatedDram
 
         geom = DRAMGeometry.small(rows_per_bank=128, rows_per_subarray=16)
-        profiles = {}
-        for backend in BACKENDS:
+        def blast(backend):
             dram = SimulatedDram(
                 geom,
                 profile=DisturbanceProfile.test_scale(threshold_mean=80.0),
@@ -118,10 +121,10 @@ class TestAttackStack:
                 seed=9,
                 backend=backend,
             )
-            profiles[backend] = measure_blast_radius(
-                dram, activations=4000
-            ).flips_by_distance
-        for backend in BACKENDS[1:]:
+            return measure_blast_radius(dram, activations=4000).flips_by_distance
+
+        profiles = on_each_leg(blast)
+        for backend in ENGINE_LEGS[1:]:
             assert profiles["scalar"] == profiles[backend], backend
         assert profiles["scalar"], "blast measurement produced no flips"
 
@@ -129,7 +132,7 @@ class TestAttackStack:
 class TestMitigationDifferential:
     """Every registered mitigation must keep the bit-identity contract:
     one micro fleet campaign per mitigation, same merged
-    :class:`BakeoffReport` digest on all three backends."""
+    :class:`BakeoffReport` digest on every engine leg."""
 
     def _micro(self, mitigation: str, backend: str, seed: int = 0):
         from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
@@ -149,8 +152,8 @@ class TestMitigationDifferential:
         "none", "siloz", "para", "catt", "domain-buddy", "guard-rows",
     ))
     def test_bakeoff_digest_backend_independent(self, mitigation):
-        reports = {b: self._micro(mitigation, b) for b in BACKENDS}
-        for backend in BACKENDS[1:]:
+        reports = on_each_leg(lambda b: self._micro(mitigation, b))
+        for backend in ENGINE_LEGS[1:]:
             assert (
                 reports["scalar"].mitigation_digest(mitigation)
                 == reports[backend].mitigation_digest(mitigation)
@@ -264,8 +267,8 @@ class TestWorkloadStreams:
 
 
 class TestMemctrlBackends:
-    """Controller timing across all three backends: identical
-    TraceResult (every counter and every float) per configuration."""
+    """Controller timing on both backends: identical TraceResult (every
+    counter and every float) per configuration."""
 
     def _trace(self, workload_env, accesses=700):
         from repro.workloads import generate_trace, suite
@@ -355,14 +358,15 @@ class TestEndToEndBackends:
         from repro.units import KiB
         from repro.workloads import run_in_vm
 
-        results = {}
-        for backend in BACKENDS:
+        def run(backend):
             hv = BaselineHypervisor(
                 Machine.small(backend=backend), backing_page_bytes=64 * KiB
             )
             vm = hv.create_vm(VmSpec(name="e2e", memory_bytes=2 * MiB))
-            results[backend] = run_in_vm(hv, vm, workload, accesses=900, trial=2)
-        for backend in BACKENDS[1:]:
+            return run_in_vm(hv, vm, workload, accesses=900, trial=2)
+
+        results = on_each_leg(run)
+        for backend in ENGINE_LEGS[1:]:
             assert vars(results["scalar"].trace) == vars(
                 results[backend].trace
             ), backend

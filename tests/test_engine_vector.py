@@ -1,7 +1,7 @@
 """Unit + edge-case tests for the vectorized engine and its kernels.
 
 The broad equivalence evidence lives in ``tests/test_differential.py``
-(seeded mixed programs, all three backends pairwise).  This module pins
+(seeded mixed programs, every engine leg pairwise).  This module pins
 the corners that random programs rarely hit — empty and single-element
 batches, batches spanning a refresh-window boundary — plus the exactness
 contracts of the individual numpy kernels: the MT19937 bulk-uniform
@@ -12,6 +12,7 @@ word-grouping paths, and the bulk ``read_region`` primitive.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.dram.mapping import SkylakeMapping
 from repro.dram.module import SimulatedDram
 from repro.units import CACHE_LINE
 
-BACKENDS = ("scalar", "batched", "vectorized")
+from conftest import ENGINE_LEGS, on_each_leg
 
 
 def _dram(backend: str, *, seed: int = 11, refresh_window: float | None = None):
@@ -50,21 +51,26 @@ def _snapshot(dram) -> dict:
     }
 
 
-def _run_on_all_backends(ops, monkeypatch) -> None:
-    """Apply *ops* to one DRAM per backend; assert identical snapshots.
+#: Forced ``MIN_VECTOR_BATCH`` values: ``0`` makes even tiny batches
+#: exercise the numpy kernels; ``sys.maxsize`` sends every batch
+#: through the per-ACT fallback loop.
+FORCED_MIN_VECTOR_BATCH = (0, sys.maxsize)
 
-    The vector path is forced (``MIN_VECTOR_BATCH = 0``) so even tiny
-    batches exercise the numpy kernels instead of the batched fallback.
-    """
-    monkeypatch.setattr(vec, "MIN_VECTOR_BATCH", 0)
-    snaps = {}
-    for backend in BACKENDS:
+
+def _run_on_all_backends(ops, monkeypatch) -> None:
+    """Apply *ops* to a scalar DRAM and to one vectorized DRAM per
+    :data:`FORCED_MIN_VECTOR_BATCH`; assert identical snapshots."""
+
+    def run(backend: str) -> dict:
         dram = _dram(backend, refresh_window=ops.get("refresh_window"))
         for bank, rows in ops["batches"]:
             dram.activate_batch(0, bank, rows)
-        snaps[backend] = _snapshot(dram)
-    for backend in BACKENDS[1:]:
-        assert snaps[backend] == snaps["scalar"], backend
+        return _snapshot(dram)
+
+    scalar = run("scalar")
+    for limit in FORCED_MIN_VECTOR_BATCH:
+        monkeypatch.setattr(vec, "MIN_VECTOR_BATCH", limit)
+        assert run("vectorized") == scalar, f"MIN_VECTOR_BATCH={limit}"
 
 
 class TestBulkUniforms:
@@ -105,7 +111,8 @@ class TestFindPeriod:
 
 
 class TestBatchEdgeCases:
-    """Identical behavior across all three backends on corner batches."""
+    """Identical behavior on scalar, the numpy kernels and the fallback
+    loop on corner batches."""
 
     def test_empty_batch(self, monkeypatch):
         _run_on_all_backends({"batches": [(0, [])]}, monkeypatch)
@@ -231,15 +238,13 @@ class TestReadRegion:
             )
 
     def test_backend_independent(self):
-        outs = {}
-        for backend in BACKENDS:
+        def read(backend):
             dram, rng = self._prepare(backend)
             hpa = rng.randrange(dram.geom.total_bytes - 8192)
-            outs[backend] = (
-                dram.read_region(hpa, 8192),
-                _snapshot(dram),
-            )
-        for backend in BACKENDS[1:]:
+            return dram.read_region(hpa, 8192), _snapshot(dram)
+
+        outs = on_each_leg(read)
+        for backend in ENGINE_LEGS[1:]:
             assert outs[backend] == outs["scalar"], backend
 
     def test_one_act_per_touched_row(self):

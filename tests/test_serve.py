@@ -50,6 +50,8 @@ class TestServiceConfig:
             ServiceConfig(policy="mystery")
         with pytest.raises(ServeError):
             ServiceConfig(attack_budget=0)
+        with pytest.raises(ServeError, match="'scalar', 'vectorized'"):
+            ServiceConfig(backend="batched")
 
 
 class TestFleetStateMachine:
