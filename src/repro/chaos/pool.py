@@ -62,9 +62,16 @@ _log = get_logger("chaos.pool")
 #: Message sent to a worker to make it exit its loop cleanly.
 _SHUTDOWN = None
 
+#: Seconds an idle worker waits on its pipe between checks that the
+#: driver that forked it is still alive.
+_PARENT_POLL_S = 0.25
+
 
 def _pool_worker_main(
-    conn: Any, run_fn: Callable[..., dict], warmup: Optional[Callable[[], None]]
+    conn: Any,
+    run_fn: Callable[..., dict],
+    warmup: Optional[Callable[[], None]],
+    parent_pid: int,
 ) -> None:
     """Worker process body: warm up once, then loop on the task pipe.
 
@@ -72,6 +79,13 @@ def _pool_worker_main(
     and an unexpected shard exception both kill the *process* (not just
     the task) so the parent exercises true dead-worker detection and a
     fresh worker replaces any possibly-corrupted interpreter state.
+
+    A worker exits as soon as it sees that its driver died.  It cannot
+    rely on EOF for that: forked workers inherit the driver's ends of
+    their own and their siblings' pipes, so a SIGKILLed driver leaves
+    every pipe with a live writer.  Instead the idle loop polls the pipe
+    and checks its parent PID every :data:`_PARENT_POLL_S` seconds
+    (re-parenting means the driver is gone).
     """
     if warmup is not None:
         try:
@@ -80,6 +94,9 @@ def _pool_worker_main(
             pass
     while True:
         try:
+            while not conn.poll(_PARENT_POLL_S):
+                if os.getppid() != parent_pid:
+                    os._exit(0)
             msg = conn.recv()
         except (EOFError, OSError):
             os._exit(0)
@@ -170,7 +187,7 @@ class PersistentWorkerPool:
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child, self.run_fn, self.warmup),
+            args=(child, self.run_fn, self.warmup, os.getpid()),
             daemon=True,
         )
         proc.start()

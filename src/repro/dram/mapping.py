@@ -160,6 +160,11 @@ class SkylakeMapping:
             "decode_flat",
             functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self._decode_flat),
         )
+        object.__setattr__(
+            self,
+            "decode_line",
+            functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self._decode_line),
+        )
 
     @classmethod
     def for_small_geometry(cls, geom: DRAMGeometry) -> "SkylakeMapping":
@@ -242,11 +247,12 @@ class SkylakeMapping:
         col = (line // g.banks_per_socket) * CACHE_LINE + line_off
         return MediaAddress.from_socket_bank(g, socket, socket_bank, row, col)
 
-    def _decode_flat(self, hpa: int) -> tuple[int, int, int, int]:
-        """Decode to ``(socket, socket_bank, channel, row)`` without
-        building a :class:`MediaAddress` — the fields the controllers'
-        hot loops actually consume.  Exposed (LRU-cached) as
-        :meth:`decode_flat`; always agrees with :meth:`decode`."""
+    def _decode_line(self, hpa: int) -> tuple[int, int, int, int]:
+        """Decode to ``(socket, socket_bank, row, col)`` without building
+        a :class:`MediaAddress` — the fields
+        :class:`~repro.dram.module.SimulatedDram` consumes per cache
+        line.  Exposed (LRU-cached) as :meth:`decode_line`; always agrees
+        with :meth:`decode`."""
         if not 0 <= hpa < self._c_total_bytes:
             raise MappingError(
                 f"HPA {hpa:#x} outside installed memory [0, {self._c_total_bytes:#x})"
@@ -260,7 +266,15 @@ class SkylakeMapping:
             + self._phys2rg[phys_chunk] * self.chunk_row_groups
             + rg_in_chunk
         )
-        socket_bank = (within // CACHE_LINE) % self._c_banks_per_socket
+        line, line_off = divmod(within, CACHE_LINE)
+        bank_stride, socket_bank = divmod(line, self._c_banks_per_socket)
+        return socket, socket_bank, row, bank_stride * CACHE_LINE + line_off
+
+    def _decode_flat(self, hpa: int) -> tuple[int, int, int, int]:
+        """Decode to ``(socket, socket_bank, channel, row)`` — the fields
+        the controllers' hot loops consume.  Exposed (LRU-cached) as
+        :meth:`decode_flat`; always agrees with :meth:`decode`."""
+        socket, socket_bank, row, _col = self._decode_line(hpa)
         return socket, socket_bank, socket_bank // self._c_banks_per_channel, row
 
     def decode_batch(self, hpas) -> list[MediaAddress]:
@@ -355,10 +369,11 @@ class SkylakeMapping:
         )
 
     def decode_cache_info(self) -> dict[str, object]:
-        """Hit/miss statistics of both decode LRUs (perf diagnostics)."""
+        """Hit/miss statistics of the decode LRUs (perf diagnostics)."""
         return {
             "decode": self.decode_cached.cache_info(),
             "flat": self.decode_flat.cache_info(),
+            "line": self.decode_line.cache_info(),
         }
 
     def encode(self, media: MediaAddress) -> int:

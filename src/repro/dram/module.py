@@ -127,10 +127,14 @@ class SimulatedDram:
         # mapping implementation has no batch decoder or numpy is absent.
         self._lines_fast = getattr(mapping, "decode_lines_batch", None)
         self.backend = SimBackend.parse(backend)
+        #: The fallback loop's flat ACT body, which single ACTs run on the
+        #: vectorized backend; None on the scalar reference backend.
+        self._flat_acts = None
         if self.backend is SimBackend.VECTORIZED:
             # Imported lazily: the engine imports the disturbance layer,
             # so a top-level import would cycle (and require numpy).
             try:
+                from repro.engine.batch import run_activation_batch
                 from repro.engine.vector import VectorizedDisturbanceModel
             except ImportError as exc:  # numpy not installed
                 raise DramError(
@@ -141,6 +145,7 @@ class SimulatedDram:
             self.disturbance: DisturbanceModel = VectorizedDisturbanceModel(
                 geom, profile, seed=seed
             )
+            self._flat_acts = run_activation_batch
         else:
             self.disturbance = DisturbanceModel(geom, profile, seed=seed)
         self.trr = Trr(geom, trr_config, seed=seed + 1) if trr_config else None
@@ -239,7 +244,17 @@ class SimulatedDram:
         """Issue one ACT to (socket, socket-flat bank, media row).
 
         Returns any disturbance flips caused (already applied to the
-        stored data and appended to :attr:`flips_log`)."""
+        stored data and appended to :attr:`flips_log`).
+
+        On the vectorized backend a plain ACT (no registered hooks, no
+        *open_seconds*) runs as a one-row batch through the flat per-ACT
+        body of :func:`repro.engine.batch.run_activation_batch`, which
+        performs the same operations in the same order as the reference
+        body below; hooks and RowPress open time always take the
+        reference body."""
+        flat = self._flat_acts
+        if flat is not None and not open_seconds and not self._hooks:
+            return flat(self, socket, bank, (row,))
         self.geom.check_row(row)
         self.counters.activations += 1
         self.clock += self.act_seconds
@@ -393,7 +408,8 @@ class SimulatedDram:
         return got
 
     def _effective_row(self, socket: int, bank: int, row: int) -> bytearray:
-        """Stored bytes with current flips applied (what a read senses)."""
+        """The whole row's stored bytes with current flips applied (what
+        :meth:`read_region` senses; :meth:`read` senses only its slice)."""
         data = bytearray(self._data.get((socket, bank, row), bytes(self.geom.row_bytes)))
         for bit in self._flips.get((socket, bank, row), ()):
             data[bit // 8] ^= 1 << (bit % 8)
@@ -404,8 +420,9 @@ class SimulatedDram:
         ``(socket, socket_bank, row, col, offset, take)`` tuples.
 
         Multi-line spans go through the mapping's vectorized
-        ``decode_lines_batch`` when numpy is available; single lines and
-        numpy-less runs use the scalar decode.  Both agree exactly (the
+        ``decode_lines_batch`` when numpy is available; short spans and
+        numpy-less runs use the mapping's LRU-cached ``decode_line`` on
+        each line's first byte.  Both agree exactly with ``decode`` (the
         mapping property tests compare them)."""
         if length <= 0:
             raise DramError(f"length must be positive, got {length}")
@@ -416,17 +433,14 @@ class SimulatedDram:
             except ImportError:  # pragma: no cover - numpy baked into CI
                 self._lines_fast = None
         out = []
-        geom = self.geom
-        decode = self.mapping.decode
+        decode_line = self.mapping.decode_line
         offset = 0
         while offset < length:
             addr = hpa + offset
             line_off = addr % CACHE_LINE
             take = min(CACHE_LINE - line_off, length - offset)
-            media = decode(addr)
-            out.append(
-                (media.socket, media.socket_bank_index(geom), media.row, media.col, offset, take)
-            )
+            socket, bank, row, col = decode_line(addr - line_off)
+            out.append((socket, bank, row, col + line_off, offset, take))
             offset += take
         return out
 
@@ -450,6 +464,9 @@ class SimulatedDram:
     def read(self, hpa: int, length: int, *, ecc: bool = True) -> bytes:
         """Read bytes at *hpa*.
 
+        Each touched cache line costs one ACT, then senses only the
+        bytes it returns: the stored slice ``[col, col+take)`` with the
+        flips inside that slice applied (never a copy of the whole row).
         With ECC on, single-bit-per-word errors in the touched words are
         corrected in the returned data (and logged); a double-bit word
         raises :class:`UncorrectableError` (machine check, §2.5)."""
@@ -457,9 +474,17 @@ class SimulatedDram:
         out = bytearray(length)
         for socket, bank, row, col, offset, take in self._lines(hpa, length):
             self.activate(socket, bank, row)
-            chunk = self._effective_row(socket, bank, row)[col : col + take]
-            if ecc:
-                chunk = self._ecc_correct_chunk(socket, bank, row, col, take, chunk)
+            key = (socket, bank, row)
+            stored = self._data.get(key)
+            chunk = stored[col : col + take] if stored is not None else bytearray(take)
+            flips = self._flips.get(key)
+            if flips:
+                low, high = col * 8, (col + take) * 8
+                for bit in flips:
+                    if low <= bit < high:
+                        chunk[bit // 8 - col] ^= 1 << (bit % 8)
+                if ecc:
+                    chunk = self._ecc_correct_chunk(socket, bank, row, col, take, chunk)
             out[offset : offset + take] = chunk
         return bytes(out)
 

@@ -81,9 +81,7 @@ class BatchedDisturbanceModel(DisturbanceModel):
         self._zeros = array("d", bytes(8 * rows))
         self._nans = nan_row_template(rows)
         #: (socket, bank) -> (pressure array, threshold array).  The
-        #: vectorized subclass stores np.float64 arrays here instead;
-        #: both expose float __getitem__/__setitem__, which is all the
-        #: fallback loop needs.
+        #: vectorized subclass reads and writes them through numpy views.
         self._banks: dict[tuple[int, int], tuple[Any, Any]] = {}
         #: row -> tuple[(victim, weight), ...]; lazily filled memo of
         #: the subarray-clipped spill targets (identical to _neighbors).
@@ -108,6 +106,45 @@ class BatchedDisturbanceModel(DisturbanceModel):
             self._neighbor_table[row] = nb
         return nb
 
+    def _draw_threshold(self) -> float:
+        """A first-touched victim's threshold, drawn exactly like the
+        scalar model's ``_victim_threshold``."""
+        profile = self.profile
+        return self._rng.lognormvariate(0.0, profile.threshold_sigma) * profile.threshold_mean
+
+    def _spill_flips(
+        self,
+        socket: int,
+        bank: int,
+        victim: int,
+        aggressor_row: int,
+        pressure: float,
+        threshold: float,
+        when: float,
+        out: list[BitFlip],
+    ) -> float:
+        """Threshold crossings on one victim: append each crossing's
+        flipped bits to *out* (scalar RNG order); returns the pressure
+        left after subtracting every crossed threshold."""
+        rng = self._rng
+        inv_bits_mean = 1.0 / self.profile.flip_bits_mean
+        row_bits = self.geom.row_bytes * 8
+        while pressure >= threshold:
+            pressure -= threshold
+            n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
+            for _ in range(n_bits):
+                out.append(
+                    BitFlip(
+                        socket=socket,
+                        bank=bank,
+                        row=victim,
+                        bit=rng.randrange(row_bits),
+                        aggressor_row=aggressor_row,
+                        when=when,
+                    )
+                )
+        return pressure
+
     def _add_pressure_flat(
         self,
         socket: int,
@@ -120,33 +157,16 @@ class BatchedDisturbanceModel(DisturbanceModel):
     ) -> list[BitFlip]:
         """Mirror of the scalar ``_add_pressure`` over the flat tables."""
         new_flips: list[BitFlip] = []
-        rng = self._rng
-        profile = self.profile
-        row_bits = self.geom.row_bytes * 8
-        inv_bits_mean = 1.0 / profile.flip_bits_mean
         for victim, weight in self._neighbor_tuple(aggressor_row):
             pressure = press[victim] + amount * weight
             threshold = thresh[victim]
             if threshold != threshold:  # NaN: first touch, draw like scalar
-                threshold = (
-                    rng.lognormvariate(0.0, profile.threshold_sigma)
-                    * profile.threshold_mean
+                threshold = thresh[victim] = self._draw_threshold()
+            if pressure >= threshold:
+                pressure = self._spill_flips(
+                    socket, bank, victim, aggressor_row, pressure, threshold, when,
+                    new_flips,
                 )
-                thresh[victim] = threshold
-            while pressure >= threshold:
-                pressure -= threshold
-                n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
-                for _ in range(n_bits):
-                    new_flips.append(
-                        BitFlip(
-                            socket=socket,
-                            bank=bank,
-                            row=victim,
-                            bit=rng.randrange(row_bits),
-                            aggressor_row=aggressor_row,
-                            when=when,
-                        )
-                    )
             press[victim] = pressure
         self.flips.extend(new_flips)
         return new_flips
@@ -199,21 +219,25 @@ def run_activation_batch(
     """Issue *rows* as one batch of ACTs to (socket, bank).
 
     Requires the module's disturbance model to be a
-    :class:`BatchedDisturbanceModel` (the vectorized model is one);
+    :class:`BatchedDisturbanceModel` (the vectorized model is one).
+    This is the vectorized backend's one flat per-ACT body:
     :func:`repro.engine.vector.run_activation_batch_vectorized` calls it
-    for every batch it does not vectorize.  Every per-ACT side effect of the scalar
+    for every batch it does not vectorize, and
+    :meth:`SimulatedDram.activate` calls it with a one-row batch for
+    every plain ACT.  Every per-ACT side effect of the scalar
     ``activate`` happens here in the same order; fault hooks still fire
     per activation, so injected faults land mid-batch exactly as they
-    would mid-loop.
+    would mid-loop.  Set-up stays small (RNG draws and flip emission
+    load their state only when they happen) because one-row batches
+    are the common case.
     """
     dist = dram.disturbance
     if not isinstance(dist, BatchedDisturbanceModel):
         raise DramError("run_activation_batch needs the vectorized backend")
-    rows = rows if isinstance(rows, list) else list(rows)
-    geom = dram.geom
-    check_row = geom.check_row
+    rows_per_bank = dram.geom.rows_per_bank
     for row in rows:
-        check_row(row)
+        if not 0 <= row < rows_per_bank:
+            dram.geom.check_row(row)  # raises the canonical error
 
     counters = dram.counters
     hooks = dram._hooks
@@ -223,25 +247,16 @@ def run_activation_batch(
     clock = dram.clock
     last_refresh = dram._last_full_refresh
     bank_key = (socket, bank)
-    repairs_all = dram._repairs
-    repairs = repairs_all.get(bank_key)
-    press, thresh = dist._bank_arrays(socket, bank)
+    repairs = dram._repairs.get(bank_key)
+    tables = dist._banks.get(bank_key)
+    press, thresh = tables if tables is not None else dist._bank_arrays(socket, bank)
     table = dist._neighbor_table
-    rng = dist._rng
-    profile = dist.profile
-    sigma = profile.threshold_sigma
-    mean = profile.threshold_mean
-    inv_bits_mean = 1.0 / profile.flip_bits_mean
-    row_bits = geom.row_bytes * 8
-    flips_model = dist.flips
-    apply_flips = dram._apply_internal_flips
     out: list[BitFlip] = []
     # Observability: one module-attribute read per batch, then a local
     # bool per ACT — the zero-cost-when-disabled contract of repro.obs.
     # Event payloads and ordering mirror the scalar path exactly, so
     # traces are backend-independent (tests/test_obs.py asserts this).
     trace_on = obs.ENABLED
-    emit = obs.emit
 
     if trr is not None:
         sampler = trr._sampler(socket, bank)
@@ -264,7 +279,7 @@ def run_activation_batch(
             last_refresh = clock
             counters.refresh_windows += 1
             if trace_on:
-                emit(obs.RefreshWindowEvent(when=clock))
+                obs.emit(obs.RefreshWindowEvent(when=clock))
         if hooks:
             dram.clock = clock
             dram._last_full_refresh = last_refresh
@@ -273,7 +288,7 @@ def run_activation_batch(
             # A hook may advance time or plant a late repair; re-sync.
             clock = dram.clock
             last_refresh = dram._last_full_refresh
-            repairs = repairs_all.get(bank_key)
+            repairs = dram._repairs.get(bank_key)
         internal = repairs.get(row, row) if repairs else row
 
         if trr is not None:
@@ -293,7 +308,7 @@ def run_activation_batch(
                         else:
                             s_counters[tracked] = v
                 if trace_on:
-                    emit(
+                    obs.emit(
                         obs.TrrSampleEvent(
                             socket=socket, bank=bank, row=internal, when=clock
                         )
@@ -309,30 +324,19 @@ def run_activation_batch(
             pressure = press[victim] + weight  # amount == 1.0
             threshold = thresh[victim]
             if threshold != threshold:  # NaN: draw in scalar first-touch order
-                threshold = rng.lognormvariate(0.0, sigma) * mean
-                thresh[victim] = threshold
+                threshold = thresh[victim] = dist._draw_threshold()
             if pressure >= threshold:
                 if new_flips is None:
                     new_flips = []
-                while pressure >= threshold:
-                    pressure -= threshold
-                    n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
-                    for _ in range(n_bits):
-                        new_flips.append(
-                            BitFlip(
-                                socket=socket,
-                                bank=bank,
-                                row=victim,
-                                bit=rng.randrange(row_bits),
-                                aggressor_row=internal,
-                                when=clock,
-                            )
-                        )
+                pressure = dist._spill_flips(
+                    socket, bank, victim, internal, pressure, threshold, clock,
+                    new_flips,
+                )
             press[victim] = pressure
         if new_flips:
-            flips_model.extend(new_flips)
+            dist.flips.extend(new_flips)
             dram.clock = clock
-            out.extend(apply_flips(socket, bank, new_flips))
+            out.extend(dram._apply_internal_flips(socket, bank, new_flips))
 
         if trr is not None:
             bank_acts += 1

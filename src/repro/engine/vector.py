@@ -58,11 +58,7 @@ import numpy as np
 from repro import obs
 from repro.dram.disturbance import BitFlip, DisturbanceProfile
 from repro.dram.geometry import DRAMGeometry
-from repro.engine.batch import (
-    BatchedDisturbanceModel,
-    nan_row_template,
-    run_activation_batch,
-)
+from repro.engine.batch import BatchedDisturbanceModel, run_activation_batch
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (module -> engine)
@@ -110,15 +106,17 @@ def bulk_uniforms(rng: random.Random, n: int) -> np.ndarray:
 
 
 class VectorizedDisturbanceModel(BatchedDisturbanceModel):
-    """Numpy-backed disturbance state, RNG-compatible with the scalar model.
+    """Numpy views over the flat disturbance state, RNG-compatible with
+    the scalar model.
 
-    Per touched (socket, bank) the model keeps accumulated pressure and
-    lazily-drawn victim thresholds (NaN = not drawn) in ``np.float64``
-    arrays.  IEEE-754 arithmetic on ``np.float64`` scalars matches
-    Python floats bit for bit, so the inherited scalar-compatible
-    methods and the per-ACT fallback loop run unchanged on these tables;
-    only :func:`run_activation_batch_vectorized` exploits their numpy
-    nature.
+    The per-(socket, bank) pressure and threshold tables are the base
+    model's ``array('d')`` tables: the per-ACT fallback loop (and every
+    single ACT, see :meth:`SimulatedDram.activate`) indexes them
+    element-wise, where ``array('d')`` returns plain Python floats at
+    roughly half numpy's per-element cost.  :meth:`_np_bank_arrays`
+    hands :func:`run_activation_batch_vectorized` ``np.float64`` views
+    sharing the same memory for its bulk math.  IEEE-754 arithmetic on
+    either side matches bit for bit.
     """
 
     def __init__(
@@ -129,36 +127,27 @@ class VectorizedDisturbanceModel(BatchedDisturbanceModel):
         seed: int = 0,
     ):
         super().__init__(geom, profile, seed=seed)
-        rows = geom.rows_per_bank
-        # Reuse the per-geometry template hoisted in repro.engine.batch:
-        # frombuffer shares its memory, and .copy() below never mutates it.
-        self._np_nans = np.frombuffer(nan_row_template(rows), dtype=np.float64)
-        self._np_zeros = np.zeros(rows, dtype=np.float64)
+        #: (socket, bank) -> numpy views of that bank's ``_banks`` tables.
+        self._np_banks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         # Periodic-batch structures keyed on (subarray alignment, edge
         # anchor, shifted period rows): campaigns replay the same hammer
         # pattern at many base rows, so the victim tables and fold
         # templates are reused wholesale across banks and base rows.
         self._tile_cache: dict[tuple[int, int, bytes], dict[str, Any]] = {}
 
-    def _bank_arrays(self, socket: int, bank: int) -> tuple[Any, Any]:
+    def _np_bank_arrays(self, socket: int, bank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Writable ``np.float64`` views of one bank's (pressure,
+        threshold) tables; writes through them land in the flat tables."""
         key = (socket, bank)
-        got = self._banks.get(key)
+        got = self._np_banks.get(key)
         if got is None:
-            got = (self._np_zeros.copy(), self._np_nans.copy())
-            self._banks[key] = got
+            press, thresh = self._bank_arrays(socket, bank)
+            got = (
+                np.frombuffer(press, dtype=np.float64),
+                np.frombuffer(thresh, dtype=np.float64),
+            )
+            self._np_banks[key] = got
         return got
-
-    def on_refresh_all(self) -> None:
-        """Full refresh window: clear every bank's pressure table.
-
-        In-place (like the array-backed base model) so hoisted references held by
-        an in-flight batch runner stay valid."""
-        for press, _ in self._banks.values():
-            press[:] = 0.0
-
-    def pressure_on(self, socket: int, bank: int, row: int) -> float:
-        got = self._banks.get((socket, bank))
-        return float(got[0][row]) if got is not None else 0.0
 
 
 def _find_period(arr: np.ndarray) -> int:
@@ -212,7 +201,7 @@ def run_activation_batch_vectorized(
         geom.check_row(int(rows_arr[np.argmax(bad)]))  # raises the canonical error
 
     repairs = dram._repairs.get((socket, bank))
-    _, thresh = dist._bank_arrays(socket, bank)
+    _, thresh = dist._np_bank_arrays(socket, bank)
     out: list[BitFlip] = []
 
     period = _find_period(rows_arr)
@@ -496,7 +485,7 @@ def _finals_generic(
     trajectories, exact re-walk of screened victims."""
     n = int(internal_arr.size)
     counters = dram.counters
-    press, thresh = dist._bank_arrays(socket, bank)
+    press, thresh = dist._np_bank_arrays(socket, bank)
 
     # Victim structure: per-ACT contribution matrix Wt (n, V) and the
     # neighbor-order table used to sequence same-ACT crossing draws.
@@ -804,7 +793,7 @@ def _span_tiled(
         )
 
     counters = dram.counters
-    press, thresh = dist._bank_arrays(socket, bank)
+    press, thresh = dist._np_bank_arrays(socket, bank)
     V: int = entry["V"]
     flips_out: list[BitFlip] = []
     if V:

@@ -2,7 +2,11 @@
 
 The table's nodes are real 4 KiB pages inside a :class:`SimulatedDram`;
 ``translate`` performs an honest walk, reading each entry's 8 bytes from
-DRAM.  Consequences, exactly as on hardware:
+DRAM, and ``map`` builds the table one entry read or write at a time.
+Each entry access costs one ACT on the entry's row and senses only the
+8 bytes it touches (the stored slice plus the flips inside it), so the
+per-entry ACT stream stays exact while a read costs no more than the
+bytes it returns.  Consequences, exactly as on hardware:
 
 - ECC corrects single-bit flips in entries transparently;
 - a double-bit flip raises a machine check

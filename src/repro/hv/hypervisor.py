@@ -435,12 +435,13 @@ class Hypervisor:
 
         No DRAM access, but not free: each call walks every VM's
         reserved nodes, builds a tuple of the free guest nodes, and
-        builds a free-byte dict over every node, each ``free_bytes``
-        re-summing that node's buddy free lists.  The fleet scheduler
-        calls it per placement decision and the serve daemon per
-        ``capacity`` request; under ``repro loadgen --spawn`` on the
-        scalar backend (default mix) it was ~11% of daemon time over
-        ~43k calls.  Safe to call at any point in the VM lifecycle.
+        builds a free-byte dict over every node (each node's
+        ``free_bytes`` is the buddy allocator's O(1) running total).
+        Measured: ~20 µs per call on a ``Machine.small`` host with three
+        VMs (9 nodes), Python 3.11 on a 2-vCPU x86 container.  The fleet
+        scheduler calls it per placement decision and the serve daemon
+        per ``capacity`` request.  Safe to call at any point in the VM
+        lifecycle.
         """
         from repro.mm.offline import OfflineReason
 

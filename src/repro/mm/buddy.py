@@ -37,7 +37,9 @@ class BuddyAllocator:
     Free blocks are tracked per order as sets of start addresses.  A
     block of order k starting at addr has its buddy at ``addr ^ (size)``;
     alignment is relative to address 0 (host physical), matching how
-    Linux's zone allocator aligns to PFN 0.
+    Linux's zone allocator aligns to PFN 0.  A running total of the free
+    bytes is kept alongside the lists (updated by every method that moves
+    blocks in or out of them), so :attr:`free_bytes` is O(1).
     """
 
     def __init__(self, ranges: list[AddressRange]):
@@ -51,6 +53,7 @@ class BuddyAllocator:
         for r in ranges:
             self._seed_range(r)
         self.total_bytes = sum(r.size for r in ranges)
+        self._free_total = self._sum_free_lists()
 
     def _seed_range(self, r: AddressRange) -> None:
         if r.start % MIN_BLOCK or r.size % MIN_BLOCK:
@@ -70,6 +73,11 @@ class BuddyAllocator:
 
     @property
     def free_bytes(self) -> int:
+        """Bytes in the free lists (the running total; O(1))."""
+        return self._free_total
+
+    def _sum_free_lists(self) -> int:
+        """Full recomputation of :attr:`free_bytes` from the free lists."""
         return sum(len(s) * (MIN_BLOCK << o) for o, s in enumerate(self._free))
 
     @property
@@ -95,6 +103,7 @@ class BuddyAllocator:
             half = MIN_BLOCK << current
             self._free[current].add(addr + half)
         self._allocated[addr] = order
+        self._free_total -= MIN_BLOCK << order
         return addr
 
     def alloc_bytes(self, size: int) -> int:
@@ -106,6 +115,7 @@ class BuddyAllocator:
         order = self._allocated.pop(addr, None)
         if order is None:
             raise MmError(f"free of unallocated address {addr:#x}")
+        self._free_total += MIN_BLOCK << order
         while order < MAX_ORDER:
             size = MIN_BLOCK << order
             buddy = addr ^ size
@@ -151,6 +161,7 @@ class BuddyAllocator:
                         self._free[order - 1].add(addr + half)
                     elif block.start >= target.start and block.end <= target.end:
                         remaining -= size
+                        self._free_total -= size
                     else:  # order-0 page partially overlapping: impossible
                         raise MmError("page-aligned target cannot split a page")
                     progressed = True
@@ -211,6 +222,7 @@ class BuddyAllocator:
                     if block.start >= target.start and block.end <= target.end:
                         self._quarantined[addr] = order
                         moved += size
+                        self._free_total -= size
                     elif order > 0:
                         half = size // 2
                         self._free[order - 1].add(addr)
@@ -232,7 +244,7 @@ class BuddyAllocator:
             ):
                 continue
             del self._quarantined[addr]
-            self._allocated[addr] = order  # free() coalesces from here
+            self._allocated[addr] = order  # free() coalesces and counts
             self.free(addr)
             released += size
         return released

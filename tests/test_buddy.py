@@ -256,3 +256,62 @@ class TestRetire:
     def test_retire_unallocated_rejected(self):
         with pytest.raises(MmError):
             make().retire(0x3000)
+
+
+class TestFreeBytesCounter:
+    """The running free-byte total must always equal a full recount of
+    the free lists, whatever sequence of operations got it there."""
+
+    SEEDS = range(40)
+
+    @staticmethod
+    def _step(alloc, rng, live):
+        span = alloc.total_bytes
+        op = rng.choice(
+            ("alloc", "alloc", "free", "reserve", "quarantine", "release",
+             "finalize", "retire")
+        )
+        if op == "alloc":
+            try:
+                live.append(alloc.alloc(rng.randrange(0, 8)))
+            except OutOfMemoryError:
+                pass
+        elif op == "free" and live:
+            alloc.free(live.pop(rng.randrange(len(live))))
+        elif op == "retire" and live:
+            alloc.retire(live.pop(rng.randrange(len(live))))
+        elif op in ("reserve", "quarantine", "release", "finalize"):
+            pages = rng.randrange(1, 64)
+            start = rng.randrange(0, span // MIN_BLOCK - pages) * MIN_BLOCK
+            target = AddressRange(start, start + pages * MIN_BLOCK)
+            if op == "reserve":
+                try:
+                    alloc.reserve_range(target)
+                except MmError:
+                    pass  # part of the target was not free
+            elif op == "quarantine":
+                alloc.quarantine_range(target)
+            elif op == "release":
+                alloc.release_quarantine(target if rng.random() < 0.7 else None)
+            else:
+                alloc.finalize_quarantine(target)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_counter_equals_recomputation(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        alloc = make(size=4 * MiB)
+        live: list[int] = []
+        for step in range(300):
+            self._step(alloc, rng, live)
+            assert alloc.free_bytes == alloc._sum_free_lists(), (
+                f"seed={seed} step={step}"
+            )
+        accounted = (
+            alloc.free_bytes
+            + alloc.allocated_bytes
+            + alloc.quarantined_bytes
+            + alloc.retired_bytes
+        )
+        assert accounted <= alloc.total_bytes

@@ -370,3 +370,94 @@ class TestEndToEndBackends:
             assert vars(results["scalar"].trace) == vars(
                 results[backend].trace
             ), backend
+
+
+def _ept_build(backend: str, *, hooked: bool) -> dict:
+    """Build a four-level EPT on the default small machine, with a
+    secure-EPT checker verifying every entry read, and return everything
+    the build left behind.  Table pages sit one per row group, so the
+    entry reads that hammer a table page's row disturb the rows holding
+    the neighbouring table pages: the build flips its own table bits.
+    With *hooked*, a fault injector also plants single-bit errors in the
+    words holding entry 0 of the root, PDPT and PD pages, which every
+    map call reads (and ECC corrects), while the build runs."""
+    from repro.dram.media import MediaAddress
+    from repro.ept.integrity import SecureEptChecker
+    from repro.ept.table import ExtendedPageTable
+    from repro.errors import ReproError
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+    from repro.hv import Machine
+    from repro.units import KiB, PAGE_4K
+
+    machine = Machine.small(seed=3, backend=backend)
+    dram, geom = machine.dram, machine.geom
+    page_addrs = range(0, geom.total_bytes // 2, geom.row_group_bytes)
+    pages = iter(page_addrs)
+    checker = SecureEptChecker()
+    ept = ExtendedPageTable(dram, lambda: next(pages), checker=checker)
+    injector = None
+    if hooked:
+        specs = []
+        for level, page in enumerate(page_addrs[:3]):
+            socket, bank, row, col = machine.mapping.decode_line(page)
+            specs.append(FaultSpec(
+                kind=FaultKind.ECC_WORD, socket=socket, bank=bank, row=row,
+                at_clock=(1 + level) * 1e-4, word=col // 8, word_bits=(5 + level,),
+            ))
+        injector = FaultInjector(dram, FaultPlan(specs=specs, seed=3)).attach()
+    error = None
+    try:
+        for i in range(6):
+            # Host frames off 2 MiB alignment force 512 4 KiB leaves per map.
+            ept.map(i * 2 * MiB, 16 * MiB + PAGE_4K * (1 + i % 7), 2 * MiB)
+    except ReproError as exc:
+        error = (type(exc).__name__, str(exc))
+    translations = []
+    for gpa in range(0, 12 * MiB, 192 * KiB):
+        try:
+            translations.append(ept.translate(gpa))
+        except ReproError as exc:
+            translations.append(type(exc).__name__)
+    if injector is not None:
+        injector.detach()
+
+    def in_table_page(flip) -> bool:
+        hpa = machine.mapping.encode(
+            MediaAddress.from_socket_bank(geom, flip.socket, flip.bank, flip.row, flip.bit // 8)
+        )
+        return any(p <= hpa < p + PAGE_4K for p in ept.table_pages)
+
+    return {
+        "error": error,
+        "translations": translations,
+        "table_pages": list(ept.table_pages),
+        "checker": (checker.checks, checker.failures),
+        "flips": list(dram.flips_log),
+        "table_flips": sum(map(in_table_page, dram.flips_log)),
+        "stored_flips": {k: sorted(v) for k, v in dram._flips.items()},
+        "data": {k: bytes(v) for k, v in dram._data.items()},
+        "ecc": list(dram.ecc.stats.events),
+        "counters": vars(dram.counters).copy(),
+        "clock": dram.clock,
+        "injected": None if injector is None else [str(e) for e in injector.events],
+    }
+
+
+class TestEptBuild:
+    """EPT construction issues its ACTs one entry at a time through
+    ``SimulatedDram.read``/``write``; every engine leg must leave the same
+    DRAM, ECC and checker state, flips in the table pages included."""
+
+    @pytest.mark.parametrize("hooked", (False, True), ids=("checker", "checker+injector"))
+    def test_build_identical_on_every_leg(self, hooked):
+        builds = on_each_leg(lambda backend: _ept_build(backend, hooked=hooked))
+        ref = builds["scalar"]
+        assert ref["table_flips"] > 0, "the build must flip its own table bits"
+        assert ref["checker"][0] > 0
+        if hooked:
+            assert ref["injected"], "the planted errors must fire during the build"
+            assert ref["ecc"], "entry reads must correct the planted errors"
+        for leg in ENGINE_LEGS[1:]:
+            problems = diff_transcripts(0, ref, builds[leg], labels=("scalar", leg))
+            assert not problems, "\n".join(problems)

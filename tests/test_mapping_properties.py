@@ -7,7 +7,8 @@ Three properties the engine fast path leans on:
 2. 2 MiB pages never straddle subarray groups (§4.2's key observation,
    and the reason Siloz can provision VMs at 2 MiB granularity);
 3. the memoized decoders (``decode_cached``, ``decode_flat``,
-   ``decode_batch``) agree exactly with the uncached reference decode.
+   ``decode_line``, ``decode_batch``) agree exactly with the uncached
+   reference decode.
 
 Sampling is driven by ``random.Random(seed)`` so any failure reproduces
 from the printed seed alone.
@@ -132,6 +133,27 @@ class TestDecodeMemoization:
                 ref.channel,
                 ref.row,
             ), f"seed={SEED + 4} hpa={hpa:#x}"
+            line = mapping.decode_line(hpa)
+            assert line == (
+                ref.socket,
+                ref.socket_bank_index(mapping.geom),
+                ref.row,
+                ref.col,
+            ), f"seed={SEED + 4} hpa={hpa:#x}"
+
+    @pytest.mark.parametrize("mapping", _mappings())
+    def test_line_decode_of_line_base_plus_offset(self, mapping):
+        # SimulatedDram caches the decode of each line's first byte and
+        # adds the in-line offset to the column; that must equal the
+        # decode of the byte itself.
+        rng = random.Random(SEED + 6)
+        for hpa in _sample_hpas(mapping, rng):
+            off = hpa % 64
+            socket, bank, row, col = mapping.decode_line(hpa - off)
+            assert (socket, bank, row, col + off) == mapping.decode_line(hpa), (
+                f"seed={SEED + 6} hpa={hpa:#x}"
+            )
+        assert mapping.decode_cache_info()["line"].hits > 0
 
     @pytest.mark.parametrize("mapping", _mappings())
     def test_decode_batch_equals_scalar_decode(self, mapping):
@@ -153,6 +175,9 @@ class TestDecodeMemoization:
             mapping.decode_cached(bad)
         with pytest.raises(MappingError):
             mapping.decode_flat(bad)
+        for hpa in (bad, -1):
+            with pytest.raises(MappingError):
+                mapping.decode_line(hpa)
 
     def test_two_instances_do_not_share_cache(self):
         g1 = DRAMGeometry.small()

@@ -235,3 +235,162 @@ class TestMisc:
         dram = SimulatedDram(DRAMGeometry.paper_default())
         dram.write(0, b"x")
         assert dram.read(0, 1) == b"x"
+
+
+# ---------------------------------------------------------------------------
+# The cache-line data path against a whole-row oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_lines(dram, hpa, length):
+    """Reference line split: the uncached MediaAddress decode per line."""
+    out = []
+    offset = 0
+    while offset < length:
+        addr = hpa + offset
+        take = min(CACHE_LINE - addr % CACHE_LINE, length - offset)
+        media = dram.mapping.decode(addr)
+        out.append(
+            (media.socket, media.socket_bank_index(dram.geom), media.row,
+             media.col, offset, take)
+        )
+        offset += take
+    return out
+
+
+def _oracle_read(dram, hpa, length, *, ecc):
+    """Reference read: sense the whole row with every flip applied, slice
+    out the touched bytes, then ECC-correct the slice."""
+    dram.counters.reads += 1
+    out = bytearray(length)
+    for socket, bank, row, col, offset, take in _oracle_lines(dram, hpa, length):
+        dram.activate(socket, bank, row)
+        chunk = dram._effective_row(socket, bank, row)[col : col + take]
+        if ecc:
+            chunk = dram._ecc_correct_chunk(socket, bank, row, col, take, chunk)
+        out[offset : offset + take] = chunk
+    return bytes(out)
+
+
+def _oracle_write(dram, hpa, data):
+    """Reference write: store each line, clearing the flips it covers."""
+    dram.counters.writes += 1
+    for socket, bank, row, col, offset, take in _oracle_lines(dram, hpa, len(data)):
+        dram.activate(socket, bank, row)
+        dram._row_store(socket, bank, row)[col : col + take] = data[offset : offset + take]
+        key = (socket, bank, row)
+        flips = dram._flips.get(key)
+        if flips:
+            flips.difference_update(range(col * 8, (col + take) * 8))
+            if not flips:
+                del dram._flips[key]
+
+
+class TestReadWriteOracle:
+    """Seeded programs of line-straddling reads and writes, injected CE
+    and UE bits, row repairs and disturbance flips: ``read``/``write``
+    must return the same bytes, raise the same machine checks and leave
+    the same ECC event log and module state as the whole-row oracle."""
+
+    @staticmethod
+    def _run(backend, seed, *, oracle):
+        import random
+
+        rng = random.Random(seed)
+        dram = make_dram(
+            backend=backend,
+            seed=seed,
+            profile=DisturbanceProfile.test_scale(threshold_mean=float(rng.choice((24, 40, 64)))),
+        )
+        base_row = rng.randrange(GEOM.rows_per_bank - 4)
+        window = (base_row * GEOM.row_group_bytes, 4 * GEOM.row_group_bytes)
+        for _ in range(rng.randrange(3)):
+            bank = rng.randrange(GEOM.banks_per_socket)
+            defective = base_row + rng.randrange(4)
+            spare = rng.randrange(GEOM.rows_per_bank)
+            try:
+                dram.add_repair(0, bank, defective, spare)
+            except DramError:
+                pass  # row already repaired in this bank
+
+        def span():
+            length = rng.choice((1, 8, 8, 16, 40, 64, 64, 100, 200))
+            hpa = window[0] + rng.randrange(window[1] - length)
+            roll = rng.random()
+            if roll < 0.4:  # straddle a line boundary
+                hpa = max(window[0], hpa - hpa % CACHE_LINE - rng.randrange(1, 8))
+            elif roll < 0.7:  # whole ECC words: the span ends on a word edge
+                hpa -= hpa % 8
+            return hpa, length
+
+        read = _oracle_read if oracle else (
+            lambda d, hpa, length, ecc: d.read(hpa, length, ecc=ecc)
+        )
+        write = _oracle_write if oracle else (lambda d, hpa, data: d.write(hpa, data))
+        log = []
+        for _ in range(150):
+            op = rng.random()
+            if op < 0.3:
+                hpa, length = span()
+                write(dram, hpa, bytes(rng.randrange(256) for _ in range(length)))
+            elif op < 0.7:
+                hpa, length = span()
+                ecc = rng.random() < 0.75
+                try:
+                    log.append(("read", read(dram, hpa, length, ecc=ecc)))
+                except UncorrectableError as exc:
+                    log.append(("ue", str(exc), exc.address))
+            elif op < 0.8:  # hammer a row just outside the window
+                aggressor = rng.choice((base_row - 1, base_row + 4)) % GEOM.rows_per_bank
+                bank = rng.randrange(GEOM.banks_per_socket)
+                dram.activate_batch(0, bank, [aggressor] * rng.randrange(20, 80))
+            else:  # plant a CE (one bit) or a UE (two bits in one word)
+                hpa = window[0] + rng.randrange(window[1])
+                socket, bank, row, col = dram.mapping.decode_line(hpa)
+                word = col // 8
+                # Half the time favour word-edge bits: a span ending right
+                # before a flipped byte must not sense it.
+                pool = (0, 7, 8, 56, 63) if rng.random() < 0.5 else range(64)
+                bits = rng.sample(pool, 2 if rng.random() < 0.3 else 1)
+                for b in bits:
+                    dram.inject_bit_error(socket, bank, row, word * 64 + b)
+        return log, {
+            "data": {k: bytes(v) for k, v in dram._data.items()},
+            "flips": {k: sorted(v) for k, v in dram._flips.items()},
+            "ecc": list(dram.ecc.stats.events),
+            "flips_log": list(dram.flips_log),
+            "counters": vars(dram.counters).copy(),
+            "clock": dram.clock,
+        }
+
+    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_whole_row_oracle(self, backend, seed):
+        got_log, got_state = self._run(backend, seed, oracle=False)
+        want_log, want_state = self._run(backend, seed, oracle=True)
+        assert got_log == want_log, f"seed={seed}"
+        for key in want_state:
+            assert got_state[key] == want_state[key], f"seed={seed} field={key}"
+
+    @pytest.mark.parametrize("ecc", (True, False))
+    def test_flips_just_outside_the_span_are_not_sensed(self, ecc):
+        dram = make_dram()
+        hpa = 3 * CACHE_LINE + 16
+        socket, bank, row, col = dram.mapping.decode_line(hpa)
+        # Last bit of the byte before the span, first bit of the byte after.
+        for bit in (col * 8 - 1, (col + 8) * 8):
+            dram.inject_bit_error(socket, bank, row, bit)
+        assert dram.read(hpa, 8, ecc=ecc) == bytes(8)
+        assert dram.ecc.stats.events == []
+        dram.inject_bit_error(socket, bank, row, col * 8 + 3)
+        expected = bytes(8) if ecc else b"\x08" + bytes(7)
+        assert dram.read(hpa, 8, ecc=ecc) == expected
+        assert len(dram.ecc.stats.events) == (1 if ecc else 0)
+
+    def test_programs_exercise_every_branch(self):
+        """The seeds above cover corrected reads, machine checks, raw
+        (ECC-off) corruption and disturbance flips."""
+        logs = [self._run("scalar", seed, oracle=False) for seed in range(24)]
+        assert any(state["flips_log"] for _log, state in logs)
+        assert any(e.outcome.name == "CORRECTED" for _l, s in logs for e in s["ecc"])
+        assert any(entry[0] == "ue" for log, _s in logs for entry in log)

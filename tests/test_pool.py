@@ -211,3 +211,74 @@ class TestPoolModes:
         assert parallel.supervision.get("worker_deaths", 0) >= 1, (
             "the chaos plan's worker death must actually have fired"
         )
+
+
+# ---------------------------------------------------------------------------
+# Orphaned workers: a SIGKILLed driver must not leave its pool behind
+# ---------------------------------------------------------------------------
+
+
+def _children_of(pid: int) -> set[int]:
+    """PIDs whose parent is *pid* (from /proc)."""
+    out = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[1]) == pid:
+            out.add(int(entry))
+    return out
+
+
+def _alive(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigkilled_driver_leaves_no_pool_workers():
+    """SIGKILL a ``repro fleet --workers 2`` driver while its pool is
+    busy; both workers must notice and exit within a few seconds."""
+    import signal
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fleet", "--hosts", "32", "--vms", "96",
+         "--budget", "2", "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    )
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline and proc.poll() is None:
+            workers = _children_of(proc.pid)
+            if len(workers) >= 2:
+                break
+            time.sleep(0.02)
+        assert proc.poll() is None, "the campaign finished before the kill"
+        assert len(workers) >= 2, f"pool workers never appeared: {workers}"
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline and any(_alive(p) for p in workers):
+        time.sleep(0.05)
+    survivors = [p for p in workers if _alive(p)]
+    for pid in survivors:  # do not leak them into the rest of the run
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"pool workers outlived their driver: {survivors}"
