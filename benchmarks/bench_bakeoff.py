@@ -16,10 +16,11 @@ deterministic comparison metrics (they must never silently grow).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
+
+from conftest import record
 
 from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
 
@@ -41,11 +42,6 @@ _RESULTS: dict = {
     "reports must be bit-identical and siloz must contain the seed-7 "
     "attack that leaks on the baseline",
 }
-
-
-def _record(key: str, payload: dict) -> None:
-    _RESULTS[key] = payload
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2) + "\n")
 
 
 def _banner(title: str) -> str:
@@ -107,7 +103,9 @@ def test_bakeoff_campaign() -> None:
         f"scalar {scalar_s * 1e3:8.1f} ms   vectorized {vector_s * 1e3:8.1f} ms"
         f"   speedup {speedup:.2f}x   identical reports: yes"
     )
-    _record(
+    record(
+        BENCH_JSON,
+        _RESULTS,
         "bakeoff_campaign",
         {
             "scalar_seconds": round(scalar_s, 6),

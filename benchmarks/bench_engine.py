@@ -25,11 +25,10 @@ must never be slower than the reference.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 
-from conftest import banner
+from conftest import banner, record
 
 from repro.attack import attack_from_vm
 from repro.core import SilozHypervisor
@@ -49,11 +48,6 @@ _RESULTS: dict = {
     "note": "vectorized SimBackend vs scalar golden reference; "
     "see README Performance",
 }
-
-
-def _record(key: str, payload: dict) -> None:
-    _RESULTS[key] = payload
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2) + "\n")
 
 
 def _time_best(fn, repeats: int = 3, warmup: int = 0):
@@ -107,7 +101,9 @@ def test_engine_campaign_speedup(benchmark):
         f"scalar {scalar_s * 1e3:8.1f} ms   vectorized {vector_s * 1e3:8.1f} ms"
         f"   vectorized/scalar {speedup:.2f}x (target >= {VECTOR_SCALAR_TARGET}x)"
     )
-    _record(
+    record(
+        BENCH_JSON,
+        _RESULTS,
         "table3_containment",
         {
             "scalar_seconds": round(scalar_s, 6),
@@ -165,7 +161,9 @@ def test_engine_tracing_overhead(benchmark):
         f"baseline)   enabled {on_s * 1e3:8.1f} ms "
         f"({enabled_overhead_pct:+.2f}%)   {emitted} event(s)/run"
     )
-    _record(
+    record(
+        BENCH_JSON,
+        _RESULTS,
         "tracing",
         {
             "disabled_seconds": round(off_s, 6),
@@ -228,7 +226,9 @@ def test_engine_decode_speedup(benchmark):
         f"reference {ref_s * 1e3:8.1f} ms   flat {fast_s * 1e3:8.1f} ms"
         f"   speedup {speedup:.2f}x (guard >= {DECODE_TARGET}x)"
     )
-    _record(
+    record(
+        BENCH_JSON,
+        _RESULTS,
         "fig5_throughput",
         {
             "reference_seconds": round(ref_s, 6),
@@ -299,7 +299,9 @@ def test_engine_fig5_e2e_speedup(benchmark):
         f"scalar {scalar_s * 1e3:8.1f} ms   vectorized {vector_s * 1e3:8.1f} ms"
         f"   speedup {speedup:.2f}x (target >= {FIG5_E2E_TARGET}x)"
     )
-    _record(
+    record(
+        BENCH_JSON,
+        _RESULTS,
         "fig5_e2e",
         {
             "scalar_seconds": round(scalar_s, 6),

@@ -29,10 +29,11 @@ run use the full 1000 / 100000 defaults.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
+
+from conftest import record
 
 from repro.fleet import (
     CampaignConfig,
@@ -67,16 +68,6 @@ _RESULTS: dict = {
     "note": "parallel fleet campaign (workers=N) vs serial (workers=1); "
     "merged reports must be bit-identical",
 }
-
-
-def _record(key: str, payload: dict) -> None:
-    """Write *payload* as entry *key*, keeping the file's other entries
-    (so each leg can be re-recorded on its own)."""
-    results = dict(_RESULTS)
-    if BENCH_JSON.exists():
-        results.update(json.loads(BENCH_JSON.read_text()))
-    results[key] = payload
-    BENCH_JSON.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def _banner(title: str) -> str:
@@ -147,7 +138,7 @@ def test_fleet_scaling() -> None:
         # marker instead; check_trajectory --key passes it through
         # without gating.
         payload["skipped"] = f"single-core runner ({cpus} cpu)"
-    _record("fleet_campaign", payload)
+    record(BENCH_JSON, _RESULTS, "fleet_campaign", payload)
     if enforced:
         assert speedup >= SCALING_TARGET, (
             f"fleet scaling below target ({speedup:.2f}x < {SCALING_TARGET}x "
@@ -233,7 +224,7 @@ def test_fleet_cluster() -> None:
             f"reduced scale ({CLUSTER_HOSTS} hosts / {CLUSTER_VMS} vms); "
             "hosts_per_sec only comparable at 1000/100000"
         )
-    _record("fleet_cluster", payload)
+    record(BENCH_JSON, _RESULTS, "fleet_cluster", payload)
 
 
 if __name__ == "__main__":

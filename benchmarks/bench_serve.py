@@ -21,8 +21,9 @@ Two kinds of runs:
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
+
+from conftest import record
 
 from repro.serve import LoadMix, LoadgenConfig, ServiceConfig, serve_and_load
 
@@ -44,11 +45,6 @@ _RESULTS: dict = {
     "final fleet digest must replay bit-identically through the "
     "synchronous path",
 }
-
-
-def _record(key: str, payload: dict) -> None:
-    _RESULTS[key] = payload
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2) + "\n")
 
 
 def _banner(title: str) -> str:
@@ -76,7 +72,7 @@ def test_serve_sustained() -> None:
     print(report.render_text())
     payload = report.to_dict()
     payload["backend"] = "scalar"
-    _record("serve_throughput", payload)
+    record(BENCH_JSON, _RESULTS, "serve_throughput", payload)
     assert report.requests >= 10_000, "sustained run fell short of 10k"
     assert report.errors == 0, f"unexpected errors: {report.outcomes}"
     assert report.replay_verified, (
@@ -95,7 +91,9 @@ def test_serve_digest_all_backends() -> None:
             f"{backend:>10}: {report.rps:7,.0f} req/s  "
             f"digest {report.server_digest[:16]}… replay {verdict}"
         )
-        _record(
+        record(
+            BENCH_JSON,
+            _RESULTS,
             f"serve_digest_{backend}",
             {
                 "backend": backend,

@@ -5,6 +5,7 @@ Every benchmark prints its reproduced table/figure (run pytest with
 ``pytest benchmarks/ --benchmark-only`` doubles as the repro check.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -17,6 +18,19 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 def banner(title: str) -> str:
     rule = "=" * len(title)
     return f"\n{rule}\n{title}\n{rule}"
+
+
+def record(path: pathlib.Path, results: dict, key: str, payload: dict) -> None:
+    """Record *payload* as entry *key* of the ``BENCH_*.json`` at *path*.
+
+    *results* is the bench's in-process record: its header (``bench``,
+    ``note``) plus every entry this process recorded, so a later leg can
+    read an earlier leg's figures.  The file keeps the entries it already
+    holds, so each leg can be re-recorded on its own."""
+    results[key] = payload
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.update(results)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def show_figure(

@@ -86,6 +86,47 @@ class AttackOutcome:
         )
 
 
+def victim_flips(
+    hv: Hypervisor, attacker: VirtualMachine, flips: list[BitFlip]
+) -> dict[str, int]:
+    """victim VM name -> how many of *flips* corrupt its memory.
+
+    A flip corrupts a VM when its cache line's HPA lies in one of the
+    VM's ``backing`` or ``mediated_backing`` ranges (exactly
+    :meth:`VirtualMachine.owns_hpa`); the attacker itself is skipped.
+    All flips are encoded in one :meth:`SkylakeMapping.encode_media_batch`
+    call.  Victims appear in the order of their first corrupting flip.
+    """
+    import numpy as np
+
+    from repro.dram.mapping import merge_ranges
+
+    if not flips:
+        return {}
+    hpa = hv.machine.mapping.encode_media_batch(
+        [f.socket for f in flips],
+        [f.bank for f in flips],
+        [f.row for f in flips],
+        [(f.bit // 8 // 64) * 64 for f in flips],
+    )
+    hits: list[tuple[int, str, int]] = []
+    for name, vm in hv.vms.items():
+        if name == attacker.name:
+            continue
+        ranges = merge_ranges(vm.backing + vm.mediated_backing)
+        if not ranges:
+            continue
+        starts = np.asarray([r.start for r in ranges], dtype=np.int64)
+        ends = np.asarray([r.end for r in ranges], dtype=np.int64)
+        i = np.searchsorted(starts, hpa, side="right") - 1
+        owned = (i >= 0) & (hpa < ends[np.maximum(i, 0)])
+        count = int(owned.sum())
+        if count:
+            hits.append((int(np.argmax(owned)), name, count))
+    hits.sort(key=lambda hit: hit[0])  # stable: ties keep hv.vms order
+    return {name: count for _first, name, count in hits}
+
+
 def attack_from_vm(
     hv: Hypervisor,
     attacker: VirtualMachine,
@@ -96,8 +137,13 @@ def attack_from_vm(
 ) -> AttackOutcome:
     """Run the fuzzer from inside *attacker* and classify every flip.
 
-    ``banks_per_socket`` samples that many banks per socket for speed
-    (flip physics are per-bank identical); ``None`` uses all banks.
+    The fuzzer hammers every row group the attacker fully owns.  Each
+    flip lands in ``flips_inside`` when its row's subarray group is one
+    of the attacker's and in ``flips_escaped`` otherwise;
+    ``victim_flips`` counts, per other VM, the flips whose cache line
+    that VM owns (see :func:`victim_flips`, one batched encode for all
+    flips).  ``banks_per_socket`` samples that many banks per socket for
+    speed (flip physics are per-bank identical); ``None`` uses all banks.
     """
     geom = hv.machine.geom
     owned = rows_owned_by_vm(hv, attacker)
@@ -128,17 +174,6 @@ def attack_from_vm(
         else:
             outcome.flips_escaped.append(flip)
 
-    # Attribute escaped (and inside!) flips to any VM whose backing they
-    # corrupt — an inside flip can only ever hit the attacker itself.
-    from repro.dram.media import MediaAddress
-
-    for flip in report.flips:
-        media = MediaAddress.from_socket_bank(
-            geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
-        )
-        hpa = hv.machine.mapping.encode(media)
-        for name, vm in hv.vms.items():
-            if name != attacker.name and vm.owns_hpa(hpa):
-                outcome.victim_flips[name] = outcome.victim_flips.get(name, 0) + 1
+    outcome.victim_flips = victim_flips(hv, attacker, report.flips)
     _log.info("%s", outcome.summary())
     return outcome

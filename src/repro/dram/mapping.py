@@ -335,6 +335,46 @@ class SkylakeMapping:
         col = bank_stride * CACHE_LINE + line_off
         return socket, socket_bank, row, col
 
+    def encode_media_batch(self, socket, socket_bank, row, col):
+        """Vectorized :meth:`encode`: the inverse of
+        :meth:`decode_media_batch`.
+
+        Takes ``(socket, socket_bank, row, col)`` arrays of equal length
+        and returns the int64 HPAs, agreeing element-wise with
+        :meth:`encode` (the mapping property tests enforce this).  Raises
+        :class:`~repro.errors.AddressError` for the first out-of-range
+        element, as :meth:`encode` would."""
+        import numpy as np
+
+        g = self.geom
+        socket, socket_bank, row, col = (
+            np.asarray(a, dtype=np.int64) for a in (socket, socket_bank, row, col)
+        )
+        bad = (
+            (socket < 0) | (socket >= g.sockets)
+            | (socket_bank < 0) | (socket_bank >= self._c_banks_per_socket)
+            | (row < 0) | (row >= g.rows_per_bank)
+            | (col < 0) | (col >= g.row_bytes)
+        )
+        if bad.any():
+            i = int(np.argmax(bad))
+            MediaAddress.from_socket_bank(  # raises the canonical error
+                g, int(socket[i]), int(socket_bank[i]), int(row[i]), int(col[i])
+            )
+        region, row_in_region = np.divmod(row, self._c_region_rgs)
+        rg_chunk, rg_in_chunk = np.divmod(row_in_region, self.chunk_row_groups)
+        rg2phys = np.asarray(self._rg2phys, dtype=np.int64)
+        col_line, line_off = np.divmod(col, CACHE_LINE)
+        line = col_line * self._c_banks_per_socket + socket_bank
+        return (
+            socket * self._c_socket_bytes
+            + region * self._c_region_bytes
+            + rg2phys[rg_chunk] * self._c_chunk_bytes
+            + rg_in_chunk * self._c_rg_bytes
+            + line * CACHE_LINE
+            + line_off
+        )
+
     def decode_flat_batch(self, hpas):
         """Vectorized :meth:`decode_flat`: ``(socket, socket_bank,
         channel, row)`` int64 ndarrays for an array of HPAs."""

@@ -333,7 +333,9 @@ class SimulatedDram:
                 if self._effective_bit(socket, bank, media_row, flip.bit) == resting:
                     self.flips_suppressed += 1
                     continue  # cell already at rest: nothing to lose
-            media_flip = BitFlip(
+            # BitFlip is frozen: an unrepaired row's flip is its own
+            # media flip, so it is reused rather than copied.
+            media_flip = flip if media_row == flip.row else BitFlip(
                 socket=socket,
                 bank=bank,
                 row=media_row,

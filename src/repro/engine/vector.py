@@ -42,6 +42,14 @@ batches, spans containing refresh windows or TRR victim refreshes —
 takes the generic whole-batch matrix path (:func:`_finals_generic`).
 Both produce identical state.
 
+Victims the screen cannot clear are replayed by one exact scalar walk
+(:func:`_walk_exact`) shared by both paths.  It visits only the
+victim's real touches — the ACTs that add to its pressure or reset it
+— because every other ACT adds ``0.0``, an exact no-op.  A periodic
+victim's touches are compressed once per period on the cached tile
+entry (:func:`_tile_walk`), so a pattern replayed at many base rows
+builds them once.
+
 Batches with registered fault hooks, with tracing enabled, or shorter
 than :data:`MIN_VECTOR_BATCH` delegate to the (equivalent) fallback loop:
 hooks mutate mid-batch state, traces must interleave per ACT, and short
@@ -85,6 +93,11 @@ _SCREEN_SLACK: float = 1e-9
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
+#: The generator :func:`bulk_uniforms` transplants states into.  Built
+#: once: ``RandomState()`` seeds itself from OS entropy, which every
+#: call would pay only to have ``set_state`` overwrite it.
+_BULK_RS = np.random.RandomState(0)
+
 
 def bulk_uniforms(rng: random.Random, n: int) -> np.ndarray:
     """Draw *n* doubles bit-identical to ``[rng.random() for _ in range(n)]``.
@@ -92,12 +105,14 @@ def bulk_uniforms(rng: random.Random, n: int) -> np.ndarray:
     Transplants the 624-word MT19937 state into a legacy numpy
     ``RandomState``, bulk-generates, then resynchronizes *rng* from the
     final numpy state so subsequent scalar draws continue the stream
-    exactly where the bulk draw left it.
+    exactly where the bulk draw left it.  Each call overwrites the whole
+    state of the shared generator, so calls on different streams never
+    leak into each other.
     """
     if n <= 0:
         return _EMPTY_F64
     version, internal, gauss_next = rng.getstate()
-    rs = np.random.RandomState()
+    rs = _BULK_RS
     rs.set_state(("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1]))
     out = rs.random_sample(n)
     state: Any = rs.get_state()
@@ -438,6 +453,54 @@ def _emit_events(
     return flips_out
 
 
+#: One victim's real touches in a span (or one period of it):
+#: ``(t, weight, neighbor order, reset)`` in time order.  ``reset``
+#: zeroes the pressure before the weight is added; a reset-only touch
+#: carries weight ``0.0``.
+Walk = list[tuple[int, float, int, bool]]
+
+
+def _touches(weight: np.ndarray, order: np.ndarray, reset: np.ndarray) -> Walk:
+    """The :data:`Walk` of one victim from its per-ACT weight, neighbor
+    order and reset columns: only the ACTs that touch or reset it."""
+    ts = np.flatnonzero(reset | (weight != 0.0))
+    return list(
+        zip(ts.tolist(), weight[ts].tolist(), order[ts].tolist(), reset[ts].tolist())
+    )
+
+
+def _walk_exact(
+    walk: Walk,
+    period: int,
+    rounds: int,
+    p: float,
+    threshold: float,
+    j: int,
+    events: list[tuple[int, int, int, int]],
+) -> float:
+    """The authoritative exact walk of one screened victim.
+
+    Folds *walk* ``rounds`` times (touch ``t`` of round ``r`` is ACT
+    ``r * period + t``) with the scalar model's arithmetic, appends every
+    threshold crossing to *events* as ``(ACT, order, j, spills)`` and
+    returns the final pressure.  ACTs that neither touch nor reset the
+    victim are exact no-ops (``p + 0.0 == p``), so they are skipped.
+    """
+    for toff in range(0, period * rounds, period):
+        for t, w, order, reset in walk:
+            if reset:
+                p = 0.0
+            if w != 0.0:
+                p = p + w
+                if p >= threshold:
+                    spills = 0
+                    while p >= threshold:
+                        p -= threshold
+                        spills += 1
+                    events.append((toff + t, order, j, spills))
+    return p
+
+
 def _span_generic(
     dram: "SimulatedDram",
     dist: VectorizedDisturbanceModel,
@@ -574,29 +637,16 @@ def _finals_generic(
         # Authoritative exact walk for screened victims: the pressure
         # trajectory is RNG-free (crossings subtract the threshold
         # deterministically), so each column replays independently and
-        # only the flip draws below need global ordering.
+        # only the flip draws below need global ordering.  A reset after
+        # ACT t is a reset before ACT t + 1 (nothing happens in between);
+        # one after the last ACT leaves the victim at zero.
         events: list[tuple[int, int, int, int]] = []  # (t, order, j, spills)
         for j in suspect_cols.tolist():
-            col = Wt[:, j].tolist()
-            rb = Rb[:, j].tolist()
-            ra = Ra[:, j].tolist()
-            p = float(p0[j])
-            threshold = float(T[j])
-            for t in range(n):
-                if rb[t]:
-                    p = 0.0
-                w = col[t]
-                if w != 0.0:
-                    p = p + w
-                    if p >= threshold:
-                        spills = 0
-                        while p >= threshold:
-                            p -= threshold
-                            spills += 1
-                        events.append((t, int(order_lut[agg_idx[t], j]), j, spills))
-                if ra[t]:
-                    p = 0.0
-            finals[j] = p
+            reset = Rb[:, j].copy()
+            reset[1:] |= Ra[:-1, j]
+            walk = _touches(Wt[:, j], order_lut[agg_idx, j], reset)
+            p = _walk_exact(walk, n, 1, float(p0[j]), float(T[j]), j, events)
+            finals[j] = 0.0 if Ra[-1, j] else p
 
         if events:
             flips_out.extend(
@@ -649,7 +699,8 @@ def _build_tile_entry(
     static neighbor table, so it is reused across every batch replaying
     the same pattern — on any bank and (via a row shift) at any base row
     with the same subarray alignment: victim tables, the compressed
-    per-period touch matrix, self-reset gap statistics and tail folds.
+    per-period touch matrix, self-reset gap statistics, tail folds and,
+    built on first use, each screened victim's walk (:func:`_tile_walk`).
     Per-call state (pressures, thresholds, clock, TRR phase) stays out.
     """
     L = int(base_internal.size)
@@ -665,26 +716,25 @@ def _build_tile_entry(
     V = len(vrows)
     entry: dict[str, Any] = {
         "L": L,
-        "A": A,
         "V": V,
         "minrow0": minrow0,
         "base_internal": base_internal,
         "base_idx": base_idx,
         "base_list": base_internal.tolist(),
         "distinct": distinct,
-        "nbs": nbs,
         "vrows": vrows,
-        "vindex": vindex,
         "nonvictims": [int(r) for r in distinct.tolist() if int(r) not in vindex],
-        "order_lut": None,  # built lazily on the first screened victim
+        "walks": {},  # victim j -> its per-period Walk, built lazily
         "pads": {},  # rounds -> tiled fold template
     }
     if not V:
         return entry
     wlut = np.zeros((A, V), dtype=np.float64)
+    order_lut = np.zeros((A, V), dtype=np.int64)
     for ai, nb in enumerate(nbs):
-        for v, w in nb:
+        for no_, (v, w) in enumerate(nb):
             wlut[ai, vindex[v]] = w
+            order_lut[ai, vindex[v]] = no_
     base_W = wlut[base_idx]  # (L, V)
     counts = np.bincount(base_idx, minlength=A).astype(np.float64)
     total_add_base = counts @ wlut  # per-round added pressure (bound only)
@@ -714,7 +764,7 @@ def _build_tile_entry(
         rank = np.arange(nzj.size, dtype=np.int64) - offs[nzj]
         comp[nzj, rank] = base_W[nzt, nzj]
     entry.update(
-        wlut=wlut,
+        order_lut=order_lut,
         base_W=base_W,
         vrows_arr=vrows_arr,
         total_add_base=total_add_base,
@@ -744,6 +794,21 @@ def _tile_pad_template(entry: dict[str, Any], rounds: int) -> np.ndarray:
     return tmpl
 
 
+def _tile_walk(entry: dict[str, Any], j: int) -> Walk:
+    """Victim *j*'s real touches in one period of the entry's pattern:
+    the ACTs that add its pressure or reset it (its own activations).
+    Built on first use and kept on the entry, next to ``order_lut``."""
+    walks: dict[int, Walk] = entry["walks"]
+    walk = walks.get(j)
+    if walk is None:
+        base_idx: np.ndarray = entry["base_idx"]
+        own = (base_idx == int(entry["self_ai"][j])) & bool(entry["has_self"][j])
+        walk = walks[j] = _touches(
+            entry["base_W"][:, j], entry["order_lut"][base_idx, j], own
+        )
+    return walk
+
+
 def _span_tiled(
     dram: "SimulatedDram",
     dist: VectorizedDisturbanceModel,
@@ -760,9 +825,11 @@ def _span_tiled(
     rounding no-ops), seeded with the victim's entry pressure.  Victims
     reset by their own activations fold only the tail after the last
     self-ACT, and victims screened as possible threshold crossers are
-    re-walked with exact scalar arithmetic.  Spans that contain refresh
-    windows or TRR victim refreshes fall back to the generic matrix
-    path (same head state, so no RNG divergence).
+    re-walked with exact scalar arithmetic over their real touches only
+    (:func:`_tile_walk`, :func:`_walk_exact`): ``rounds`` passes over
+    the period's touching ACTs, not ``rounds * L`` steps.  Spans that
+    contain refresh windows or TRR victim refreshes fall back to the
+    generic matrix path (same head state, so no RNG divergence).
     """
     L: int = entry["L"]
     n = L * rounds
@@ -841,41 +908,10 @@ def _span_tiled(
         # Authoritative exact walk for screened victims (cf. the generic
         # path); crossings never invalidate other victims' bulk math.
         events: list[tuple[int, int, int, int]] = []  # (t, order, j, spills)
-        if suspect_js:
-            base_W: np.ndarray = entry["base_W"]
-            base_idx: np.ndarray = entry["base_idx"]
-            order_lut = entry["order_lut"]
-            if order_lut is None:
-                A: int = entry["A"]
-                vindex: dict[int, int] = entry["vindex"]
-                order_lut = np.zeros((A, V), dtype=np.int64)
-                for ai, nb in enumerate(entry["nbs"]):
-                    for no_, (v, _w) in enumerate(nb):
-                        order_lut[ai, vindex[v]] = no_
-                entry["order_lut"] = order_lut
-            has_self: np.ndarray = entry["has_self"]
-            self_ai: np.ndarray = entry["self_ai"]
-            for j in suspect_js:
-                col = base_W[:, j].tolist()
-                ocol = order_lut[base_idx, j].tolist()
-                own = (base_idx == int(self_ai[j])).tolist() if has_self[j] else None
-                p = float(p0[j])
-                threshold = float(T[j])
-                for r in range(rounds):
-                    toff = r * L
-                    for ti in range(L):
-                        if own is not None and own[ti]:
-                            p = 0.0
-                        w = col[ti]
-                        if w != 0.0:
-                            p = p + w
-                            if p >= threshold:
-                                spills = 0
-                                while p >= threshold:
-                                    p -= threshold
-                                    spills += 1
-                                events.append((toff + ti, ocol[ti], j, spills))
-                finals[j] = p
+        for j in suspect_js:
+            finals[j] = _walk_exact(
+                _tile_walk(entry, j), L, rounds, float(p0[j]), float(T[j]), j, events
+            )
         if events:
             vrows: list[int] = entry["vrows"]
             if shift:

@@ -128,11 +128,16 @@ def perf_experiment(
     accesses: int = 20_000,
     controller_factory=None,
 ) -> PerfComparison:
-    """Run every workload x system x trial; returns the raw comparison."""
+    """Run every workload x system x trial; returns the raw comparison.
+
+    Each trial's access pattern is drawn once per workload and shared by
+    every system (only the HPA translation and gap noise differ); the
+    shared patterns live only for this call."""
     if metric not in ("time", "bandwidth"):
         raise ReproError(f"unknown metric {metric!r}")
     comparison = PerfComparison(metric=metric)
     for workload in workloads:
+        patterns: dict = {}
         with obs.span(f"experiment.{workload}"):
             for system in systems:
                 for trial in range(trials):
@@ -143,6 +148,7 @@ def perf_experiment(
                         accesses=accesses,
                         trial=trial,
                         controller_factory=controller_factory,
+                        patterns=patterns,
                     )
                     value = (
                         result.execution_seconds

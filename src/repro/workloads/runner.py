@@ -48,6 +48,7 @@ def run_in_vm(
     footprint_fraction: float = 0.8,
     timings: DDR4Timings | None = None,
     controller_factory: ControllerFactory | None = None,
+    patterns: dict | None = None,
 ) -> WorkloadResult:
     """Run *workload* inside *vm*, returning timing aggregates.
 
@@ -61,7 +62,9 @@ def run_in_vm(
     controller inherits ``hv.machine.dram.backend``, and whenever the
     controller (however built) runs vectorized, the trace itself is
     synthesized as one numpy batch — the whole workload→memctrl pipeline
-    stays on the fast path, with bit-identical results.
+    stays on the fast path, with bit-identical results.  *patterns* is
+    handed to :func:`generate_trace_batch`, so callers running one
+    workload on several systems draw each trial's access pattern once.
     """
     translator = GpaTranslator(vm)
     footprint = max(64, int(translator.limit * footprint_fraction))
@@ -79,6 +82,7 @@ def run_in_vm(
             accesses=accesses,
             seed=trial,
             home_socket=vm.home_socket,
+            patterns=patterns,
         )
         result = controller.run_batch(batch)
     else:

@@ -216,28 +216,25 @@ def generate_trace(
         )
 
 
-def generate_trace_batch(
+#: One trace's access pattern: ``(line, write, unscaled gap)`` arrays.
+#: Everything the system under test changes (the HPA translation and
+#: the noise-scaled gap) is applied on top; the arrays are read-only so
+#: one pattern can back several batches.
+TracePattern = tuple["np.ndarray", "np.ndarray", "np.ndarray"]
+
+
+def _draw_pattern(
     spec: TraceSpec,
-    translator: GpaTranslator,
-    *,
+    rng: random.Random,
+    lines: int,
+    hot_lines: int,
+    hot_cut: float,
     accesses: int,
-    seed: int = 0,
-    home_socket: int = 0,
-) -> "AccessBatch":
-    """:func:`generate_trace` as one numpy batch — same stream, bit for
-    bit: the MT19937 uniforms come from a single
-    :func:`~repro.engine.vector.bulk_uniforms` transplant consumed in
-    the same order, and every arithmetic step mirrors the scalar
-    recipe's exactly-rounded IEEE ops."""
+) -> TracePattern:
+    """The numpy twin of :func:`generate_trace`'s per-access draws."""
     import numpy as np
 
     from repro.engine.vector import bulk_uniforms
-    from repro.memctrl.pipeline import AccessBatch
-
-    if accesses <= 0:
-        raise WorkloadError("accesses must be positive")
-    rng, noise_rng = _trace_rngs(spec, translator, seed)
-    lines, hot_lines, scale, hot_cut = _trace_params(spec, translator, noise_rng)
 
     uniforms = bulk_uniforms(rng, 1 + 4 * accesses)
     line0 = min(int(uniforms[0] * lines), lines - 1)
@@ -264,14 +261,55 @@ def generate_trace_batch(
     if spec.cpu_gap_ns > 0.0:
         table = np.asarray(_exponential_table(), dtype=np.float64)
         slot = np.minimum((u_gap * GAP_RESOLUTION).astype(np.int64), GAP_RESOLUTION - 1)
-        gaps = table[slot] * scale
+        gaps = table[slot]
     else:
         gaps = np.zeros(accesses, dtype=np.float64)
+    pattern = (line, ~(u_kind < spec.read_ratio), gaps)
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
+def generate_trace_batch(
+    spec: TraceSpec,
+    translator: GpaTranslator,
+    *,
+    accesses: int,
+    seed: int = 0,
+    home_socket: int = 0,
+    patterns: dict | None = None,
+) -> "AccessBatch":
+    """:func:`generate_trace` as one numpy batch — same stream, bit for
+    bit: the MT19937 uniforms come from a single
+    :func:`~repro.engine.vector.bulk_uniforms` transplant consumed in
+    the same order, and every arithmetic step mirrors the scalar
+    recipe's exactly-rounded IEEE ops.
+
+    The access pattern depends only on *spec*, the footprint in lines,
+    *accesses* and *seed*; only the HPA translation and the gap noise
+    depend on the system.  A caller replaying one workload on several
+    systems passes the same *patterns* dict to every call, and each
+    pattern is drawn once (see :func:`repro.eval.perf_experiment`)."""
+    import numpy as np
+
+    from repro.memctrl.pipeline import AccessBatch
+
+    if accesses <= 0:
+        raise WorkloadError("accesses must be positive")
+    rng, noise_rng = _trace_rngs(spec, translator, seed)
+    lines, hot_lines, scale, hot_cut = _trace_params(spec, translator, noise_rng)
+    key = (spec, lines, hot_lines, accesses, seed)
+    pattern = patterns.get(key) if patterns is not None else None
+    if pattern is None:
+        pattern = _draw_pattern(spec, rng, lines, hot_lines, hot_cut, accesses)
+        if patterns is not None:
+            patterns[key] = pattern
+    line, write, gaps = pattern
 
     return AccessBatch(
         hpa=translator.translate_batch(line * CACHE_LINE),
-        write=~(u_kind < spec.read_ratio),
-        cpu_gap_ns=gaps,
+        write=write,
+        cpu_gap_ns=gaps * scale if spec.cpu_gap_ns > 0.0 else gaps,
         home_socket=np.full(accesses, home_socket, dtype=np.int64),
         tag=np.zeros(accesses, dtype=np.int64),
     )

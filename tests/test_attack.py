@@ -12,9 +12,11 @@ from repro.attack import (
     hammer_pattern_rows,
     run_pattern,
 )
-from repro.attack.runner import _runs, rows_owned_by_vm
-from repro.dram.disturbance import DisturbanceProfile
+from repro.attack.runner import _runs, rows_owned_by_vm, victim_flips
+from repro.dram.disturbance import BitFlip, DisturbanceProfile
 from repro.dram.geometry import DRAMGeometry
+from repro.dram.mapping import AddressRange
+from repro.dram.media import MediaAddress
 from repro.dram.module import SimulatedDram
 from repro.dram.trr import TrrConfig
 from repro.errors import AttackError
@@ -201,3 +203,76 @@ class TestAttackFromVm:
         attacker = hv.create_vm(VmSpec(name="a", memory_bytes=2 * MiB))
         outcome = attack_from_vm(hv, attacker, seed=9, pattern_budget=5)
         assert "attacker=a" in outcome.summary()
+
+
+def _owns_hpa_reference(hv, attacker, flips) -> dict[str, int]:
+    """Per-flip attribution: one MediaAddress, one encode and an
+    ``owns_hpa`` query on every other VM for each flip."""
+    geom = hv.machine.geom
+    out: dict[str, int] = {}
+    for flip in flips:
+        media = MediaAddress.from_socket_bank(
+            geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
+        )
+        hpa = hv.machine.mapping.encode(media)
+        for name, vm in hv.vms.items():
+            if name != attacker.name and vm.owns_hpa(hpa):
+                out[name] = out.get(name, 0) + 1
+    return out
+
+
+class TestVictimFlips:
+    """``victim_flips`` (one batched encode, per-VM range search) must
+    equal the per-flip ``owns_hpa`` attribution, counts and order."""
+
+    @pytest.mark.parametrize("seed", [8, 200])
+    def test_equals_owns_hpa_reference(self, seed):
+        hv = BaselineHypervisor(
+            Machine.small(seed=seed, backend="vectorized"), backing_page_bytes=64 * KiB
+        )
+        attacker = hv.create_vm(VmSpec(name="attacker", memory_bytes=2 * MiB))
+        victim = hv.create_vm(VmSpec(name="victim", memory_bytes=2 * MiB))
+        outcome = attack_from_vm(hv, attacker, seed=seed, pattern_budget=80)
+        reference = _owns_hpa_reference(hv, attacker, outcome.report.flips)
+        assert reference, "the baseline contrast corrupted no victim"
+        assert list(outcome.victim_flips.items()) == list(reference.items())
+
+        # A third VM whose RAM is split into several backing ranges, out
+        # of address order; the victim keeps its mediated (ROM/MMIO)
+        # ranges.  Flips are planted in every range of every VM, plus
+        # anywhere on the device.
+        third = hv.create_vm(VmSpec(name="third", memory_bytes=2 * MiB))
+        (ram,) = third.backing
+        cut = [ram.start + k * ram.size // 4 for k in range(4)] + [ram.end]
+        third.backing = [AddressRange(a, b) for a, b in zip(cut, cut[1:])][::-1]
+        assert victim.mediated_backing
+        rng = random.Random(seed)
+        geom = hv.machine.geom
+        hpas = [rng.randrange(geom.total_bytes) for _ in range(300)]
+        for vm in hv.vms.values():
+            for r in vm.backing + vm.mediated_backing:
+                hpas += [rng.randrange(r.start, r.end) for _ in range(20)]
+        rng.shuffle(hpas)
+        flips = []
+        for hpa in hpas:
+            media = hv.machine.mapping.decode(hpa)
+            flips.append(
+                BitFlip(
+                    socket=media.socket,
+                    bank=media.socket_bank_index(geom),
+                    row=media.row,
+                    bit=media.col * 8 + rng.randrange(8),
+                    aggressor_row=0,
+                    when=0.0,
+                )
+            )
+        flips += outcome.report.flips
+        reference = _owns_hpa_reference(hv, attacker, flips)
+        assert set(reference) == {"victim", "third"}
+        assert list(victim_flips(hv, attacker, flips).items()) == list(reference.items())
+
+    def test_no_flips(self):
+        hv = BaselineHypervisor(Machine.small(seed=1))
+        attacker = hv.create_vm(VmSpec(name="attacker", memory_bytes=2 * MiB))
+        hv.create_vm(VmSpec(name="victim", memory_bytes=2 * MiB))
+        assert victim_flips(hv, attacker, []) == {}

@@ -31,12 +31,22 @@ class _FakeReport:
         return "f" * 64
 
 
+def _load(name: str, path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 @pytest.fixture
 def bench(tmp_path, monkeypatch):
     """A fresh bench_fleet module, stubbed and redirected into tmp."""
-    spec = importlib.util.spec_from_file_location("bench_fleet_under_test", BENCH_PATH)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    # The bench imports its helpers from the benchmarks' conftest, which
+    # here would resolve to the test suite's own conftest.
+    monkeypatch.setitem(
+        sys.modules, "conftest", _load("bench_conftest", BENCH_PATH.parent / "conftest.py")
+    )
+    mod = _load("bench_fleet_under_test", BENCH_PATH)
     # Serial takes 1s, N workers take 1/N s: a clean N-x scaling stub.
     monkeypatch.setattr(
         mod, "_campaign", lambda workers: (1.0 / workers, _FakeReport())
@@ -100,3 +110,17 @@ def test_skip_marker_passes_trajectory_gate(bench, monkeypatch, tmp_path, capsys
     assert code == 0
     assert "SKIPPED" in out and "not gated" in out
     sys.modules.pop("check_trajectory_under_test", None)
+
+
+def test_record_keeps_other_entries(bench, monkeypatch):
+    # Re-recording one leg must not drop the entries other legs (or
+    # other bench processes) wrote earlier.
+    bench.BENCH_JSON.write_text(
+        json.dumps({"bench": "fleet", "fleet_cluster": {"hosts_per_sec": 39.6}})
+    )
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+    bench.test_fleet_scaling()
+    doc = json.loads(bench.BENCH_JSON.read_text())
+    assert doc["fleet_cluster"] == {"hosts_per_sec": 39.6}
+    assert doc["fleet_campaign"]["speedup"] == pytest.approx(4.0)
+    assert bench._RESULTS["fleet_campaign"] == doc["fleet_campaign"]

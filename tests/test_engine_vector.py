@@ -91,6 +91,19 @@ class TestBulkUniforms:
         assert vec.bulk_uniforms(a, 0).size == 0
         assert a.getstate() == state
 
+    def test_interleaved_streams_stay_independent(self):
+        # Every call reuses one numpy generator; alternating bulk draws
+        # on two streams must still reproduce each stream on its own.
+        a, b = random.Random(3), random.Random(4)
+        ref_a, ref_b = random.Random(3), random.Random(4)
+        for n in (5, 700, 1, 64, 333):
+            got_a = vec.bulk_uniforms(a, n).tolist()
+            got_b = vec.bulk_uniforms(b, n + 7).tolist()
+            assert got_a == [ref_a.random() for _ in range(n)]
+            assert got_b == [ref_b.random() for _ in range(n + 7)]
+        assert a.getstate() == ref_a.getstate()
+        assert b.getstate() == ref_b.getstate()
+
 
 class TestFindPeriod:
     def test_tiled_pattern(self):
@@ -141,6 +154,140 @@ class TestBatchEdgeCases:
         dram = _dram("vectorized")
         assert dram.activate_batch(0, 0, []) == []
         assert dram.clock == 0.0
+
+
+def _disturbance_tables(dram) -> dict:
+    """``(socket, bank, row) -> (pressure, threshold or None)`` for every
+    row with state, in one form for the dict and the flat-table models."""
+    dist = dram.disturbance
+    banks = getattr(dist, "_banks", None)
+    if banks is None:
+        return {
+            key: (dist._pressure.get(key, 0.0), dist._threshold.get(key))
+            for key in dist._pressure.keys() | dist._threshold.keys()
+        }
+    out = {}
+    for (socket, bank), (press, thresh) in banks.items():
+        for row, (p, t) in enumerate(zip(press, thresh)):
+            if p != 0.0 or t == t:
+                out[(socket, bank, row)] = (p, t if t == t else None)
+    return out
+
+
+#: Periodic programs aimed at the exact walk (``vec._walk_exact``):
+#: name -> (threshold mean, TRR on, repairs, [(bank, rows), ...]).
+#: Rows are in the 128-row / 16-row-subarray test geometry.
+WALK_PROGRAMS = {
+    # Thresholds far below the distance-1 weight (1.0): one ACT spills
+    # several thresholds at once.
+    "multi_spill": (0.3, False, [], [(0, [20, 22] * 150), (1, [37, 40, 43] * 120)]),
+    # Row 41 sits between two aggressors and is activated once per
+    # period: it crosses between its own resets, and so do 40 and 42.
+    "self_crossing": (
+        40.0,
+        False,
+        [],
+        [(0, ([40, 42] * 30 + [41]) * 8), (2, ([72, 73, 74] * 20 + [70]) * 6)],
+    ),
+    # One pattern swept over base rows and banks: a shared tile entry
+    # (and its cached walks) serves every replay.
+    "shifted_replays": (
+        30.0,
+        False,
+        [],
+        [(bank, [base, base + 2, base + 4] * 100)
+         for bank in (0, 3) for base in (18, 19, 21, 22, 50, 51)],
+    ),
+    # Repaired rows: an aggressor living in a spare row far away, and a
+    # victim whose cells were abandoned by its repair.
+    "repairs": (
+        20.0,
+        False,
+        [(0, 30, 100), (0, 61, 90)],
+        [(0, [29, 31] * 200), (0, [30, 32] * 200), (0, [60, 62] * 200),
+         (0, [89, 91] * 200)],
+    ),
+    # TRR on: victim refreshes land mid-span and send periodic batches
+    # through the generic walk, with reset-after semantics.
+    "trr_generic": (
+        25.0,
+        True,
+        [],
+        [(0, ([40, 42] * 30 + [41]) * 8), (1, [20, 22] * 300)],
+    ),
+}
+
+
+class TestExactWalkStress:
+    """Scalar ≡ vectorized ≡ forced fallback on programs built to
+    stress the exact walk: flips (per batch, in order), ``flips_log``,
+    the pressure/threshold tables and the disturbance RNG state."""
+
+    @staticmethod
+    def _run(backend: str, name: str) -> dict:
+        threshold, trr, repairs, batches = WALK_PROGRAMS[name]
+        from repro.dram.trr import TrrConfig
+
+        dram = SimulatedDram(
+            DRAMGeometry.small(rows_per_bank=128, rows_per_subarray=16),
+            profile=DisturbanceProfile.test_scale(threshold_mean=threshold),
+            trr_config=TrrConfig() if trr else None,
+            seed=5,
+            backend=backend,
+        )
+        for socket_bank_repair in repairs:
+            dram.add_repair(0, *socket_bank_repair)
+        returned = [dram.activate_batch(0, bank, rows) for bank, rows in batches]
+        return {
+            "returned": returned,
+            "flips_log": list(dram.flips_log),
+            "tables": _disturbance_tables(dram),
+            "rng": dram.disturbance._rng.getstate(),
+            "snapshot": _snapshot(dram),
+        }
+
+    @pytest.mark.parametrize("name", list(WALK_PROGRAMS))
+    def test_legs_agree(self, name):
+        outs = on_each_leg(lambda backend: self._run(backend, name))
+        assert outs["scalar"]["flips_log"], "program never flips: vacuous"
+        for leg in ENGINE_LEGS[1:]:
+            for part in outs["scalar"]:
+                assert outs[leg][part] == outs["scalar"][part], (name, leg, part)
+
+    @pytest.mark.parametrize("name", list(WALK_PROGRAMS))
+    def test_program_reaches_the_walk(self, name, monkeypatch):
+        # Guard against vacuous agreement: each program must drive the
+        # vectorized exact walk to the case it is named for.
+        walks = []
+        walk_exact = vec._walk_exact
+
+        def spy(walk, period, rounds, p, threshold, j, events):
+            before = len(events)
+            out = walk_exact(walk, period, rounds, p, threshold, j, events)
+            walks.append((walk, rounds, events[before:]))
+            return out
+
+        built = []
+        build = vec._build_tile_entry
+        monkeypatch.setattr(vec, "_walk_exact", spy)
+        monkeypatch.setattr(
+            vec, "_build_tile_entry", lambda *a: built.append(a) or build(*a)
+        )
+        self._run("vectorized", name)
+        events = [e for _w, _r, evs in walks for e in evs]
+        assert events, "no crossing went through the exact walk"
+        if name == "multi_spill":
+            assert max(spills for *_e, spills in events) > 1
+        elif name == "self_crossing":
+            assert any(
+                evs and any(reset for *_t, reset in w) for w, _r, evs in walks
+            ), "no self-activating victim crossed in the walk"
+        elif name == "shifted_replays":
+            assert len(built) < len(WALK_PROGRAMS[name][3]) // 2
+        elif name == "repairs":
+            assert built and any(rounds > 1 for _w, rounds, _e in walks)
+        elif name == "trr_generic":
+            assert any(rounds == 1 and len(w) > 100 for w, rounds, _e in walks)
 
 
 class TestVectorizedDecode:

@@ -23,7 +23,7 @@ import pytest
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import SkylakeMapping
 from repro.dram.media import MediaAddress
-from repro.errors import MappingError
+from repro.errors import AddressError, MappingError
 from repro.units import MiB
 
 SEED = 20260806
@@ -76,6 +76,39 @@ class TestRoundTrip:
             assert mapping.decode(mapping.encode(media)) == media, (
                 f"seed={SEED + 1} media={media}"
             )
+
+    @pytest.mark.parametrize("mapping", _mappings())
+    def test_encode_media_batch_equals_encode(self, mapping):
+        g = mapping.geom
+        rng = random.Random(SEED + 7)
+        bounds = (g.sockets, g.banks_per_socket, g.rows_per_bank, g.row_bytes)
+        # Uniform samples plus the corners: first and last of each field.
+        cols = [[rng.randrange(b) for _ in range(SAMPLES)] + [0, b - 1] for b in bounds]
+        got = mapping.encode_media_batch(*cols).tolist()
+        for i, args in enumerate(zip(*cols)):
+            media = MediaAddress.from_socket_bank(g, *args)
+            assert got[i] == mapping.encode(media), f"seed={SEED + 7} media={media}"
+
+    @pytest.mark.parametrize("mapping", _mappings())
+    def test_encode_media_batch_inverts_decode_media_batch(self, mapping):
+        rng = random.Random(SEED + 8)
+        hpas = _sample_hpas(mapping, rng)
+        assert mapping.encode_media_batch(*mapping.decode_media_batch(hpas)).tolist() == hpas
+
+    @pytest.mark.parametrize("high", [False, True], ids=["below", "above"])
+    @pytest.mark.parametrize("field", range(4), ids=["socket", "bank", "row", "col"])
+    def test_encode_media_batch_out_of_range(self, field, high):
+        mapping = SkylakeMapping.for_small_geometry(DRAMGeometry.small())
+        g = mapping.geom
+        bounds = (g.sockets, g.banks_per_socket, g.rows_per_bank, g.row_bytes)
+        cols = [[0, 0, 0] for _ in bounds]
+        cols[field][1] = bounds[field] if high else -1
+        cols[field][2] = bounds[field] + 5  # a later bad element is not the one named
+        with pytest.raises(AddressError) as batch:
+            mapping.encode_media_batch(*cols)
+        with pytest.raises(AddressError) as single:
+            MediaAddress.from_socket_bank(g, *(c[1] for c in cols))
+        assert str(batch.value) == str(single.value)
 
     @pytest.mark.parametrize("mapping", _mappings())
     def test_decode_injective_on_lines(self, mapping):

@@ -262,3 +262,37 @@ class TestPerfExperimentIntegration:
     def test_unknown_cell_rejected(self, comparison):
         with pytest.raises(ReproError):
             comparison.trials("nope", "siloz")
+
+    @pytest.mark.parametrize("metric", ["time", "bandwidth"])
+    def test_shared_patterns_equal_one_run_per_system_and_trial(
+        self, metric, monkeypatch
+    ):
+        # perf_experiment draws each trial's access pattern once and
+        # shares it across systems; every value must still be exactly
+        # that of an independent run_in_vm call.
+        import repro.workloads.trace as trace
+
+        systems = [
+            baseline_system(seed=3, backend="vectorized"),
+            siloz_system(seed=3, backend="vectorized"),
+            siloz_system(name="siloz-64", rows_per_subarray=64, seed=3, backend="vectorized"),
+        ]
+        workloads = ["redis-b", "mlc-stream"]
+        draws = []
+        draw = trace._draw_pattern
+        monkeypatch.setattr(
+            trace, "_draw_pattern", lambda *a, **k: draws.append(a) or draw(*a, **k)
+        )
+        got = perf_experiment(systems, workloads, metric=metric, trials=2, accesses=3000)
+        assert len(draws) == len(workloads) * 2  # once per (workload, trial)
+        for workload in workloads:
+            for system in systems:
+                runs = [
+                    run_in_vm(system.hv, system.vm, workload, accesses=3000, trial=t)
+                    for t in range(2)
+                ]
+                expect = [
+                    r.execution_seconds if metric == "time" else r.bandwidth_gib_s
+                    for r in runs
+                ]
+                assert got.trials(workload, system.name) == expect, (workload, system.name)
