@@ -13,7 +13,11 @@ Times the benchmark workloads the fast paths were built for:
 - the same Figure 5 campaign *end-to-end* on the vectorized pipeline
   (numpy trace synthesis in ``repro.workloads.trace`` feeding the
   segmented closed forms in ``repro.memctrl.pipeline``) vs the scalar
-  reference path.
+  reference path;
+- EPT construction: VMs booted with ``Hypervisor.create_vm``, whose
+  entry reads/writes and table-page zeroing issue one plain ACT per
+  cache line (recorded as build ACTs/s; not yet a gated trajectory
+  metric).
 
 Both comparisons first assert the outputs are *identical* — a speedup
 that changes results is a bug, not a win — then record wall times and
@@ -25,7 +29,9 @@ must never be slower than the reference.
 
 from __future__ import annotations
 
+import os
 import pathlib
+import statistics
 import time
 
 from conftest import banner, record
@@ -314,4 +320,77 @@ def test_engine_fig5_e2e_speedup(benchmark):
     assert speedup >= FIG5_E2E_TARGET, (
         f"end-to-end fig5 pipeline only {speedup:.2f}x over scalar "
         f"(target {FIG5_E2E_TARGET}x); see BENCH_engine.json"
+    )
+
+
+#: The ept_build leg's fixed VM set: every guest-reserved group of a
+#: two-socket small machine, one 2 MiB VM each.
+EPT_BUILD_VMS = 14
+EPT_BUILD_REPEATS = 9
+
+
+def _ept_build(backend: str):
+    """Boot a fresh small machine, then build :data:`EPT_BUILD_VMS` VMs.
+    Returns (build wall seconds, build ACTs, the DRAM state left)."""
+    hv = SilozHypervisor.boot(Machine.small(sockets=2, seed=11, backend=backend))
+    dram = hv.machine.dram
+    acts = dram.counters.activations
+    t0 = time.perf_counter()
+    for i in range(EPT_BUILD_VMS):
+        hv.create_vm(VmSpec(name=f"vm{i}", memory_bytes=2 * MiB))
+    elapsed = time.perf_counter() - t0
+    state = {
+        "data": {k: bytes(v) for k, v in dram._data.items()},
+        "flips": {k: sorted(v) for k, v in dram._flips.items()},
+        "flips_log": list(dram.flips_log),
+        "ecc": list(dram.ecc.stats.events),
+        "counters": vars(dram.counters).copy(),
+        "clock": dram.clock,
+    }
+    return elapsed, dram.counters.activations - acts, state
+
+
+def test_engine_ept_build(benchmark):
+    """EPT construction on the vectorized backend: identical DRAM state
+    to the scalar reference, then the median build ACTs/s over
+    :data:`EPT_BUILD_REPEATS` fresh builds (one untimed warm-up)."""
+
+    def _measure():
+        _, scalar_acts, scalar_state = _ept_build("scalar")
+        _ept_build("vectorized")
+        runs = [_ept_build("vectorized") for _ in range(EPT_BUILD_REPEATS)]
+        return scalar_acts, scalar_state, runs
+
+    scalar_acts, scalar_state, runs = benchmark.pedantic(
+        _measure, rounds=1, iterations=1
+    )
+    for _, acts, state in runs:
+        assert (acts, state) == (scalar_acts, scalar_state), (
+            "vectorized EPT build diverged from scalar: the figure is void"
+        )
+    times = sorted(elapsed for elapsed, _, _ in runs)
+    median = statistics.median(times)
+    acts_per_s = scalar_acts / median
+    print(banner("Engine: EPT construction (create_vm), vectorized"))
+    print(
+        f"{EPT_BUILD_VMS} VMs, {scalar_acts} ACTs per build: median "
+        f"{median * 1e3:7.2f} ms (min {times[0] * 1e3:.2f}, max "
+        f"{times[-1] * 1e3:.2f})   {acts_per_s:,.0f} build ACTs/s"
+    )
+    record(
+        BENCH_JSON,
+        _RESULTS,
+        "ept_build",
+        {
+            "vms": EPT_BUILD_VMS,
+            "acts_per_build": scalar_acts,
+            "repeats": EPT_BUILD_REPEATS,
+            "median_seconds": round(median, 6),
+            "min_seconds": round(times[0], 6),
+            "max_seconds": round(times[-1], 6),
+            "spread": round((times[-1] - times[0]) / median, 3),
+            "acts_per_s": round(acts_per_s, 1),
+            "cpu_count": os.cpu_count() or 1,
+            "identical_results": True,
+        },
     )

@@ -130,6 +130,9 @@ class SimulatedDram:
         #: The fallback loop's flat ACT body, which single ACTs run on the
         #: vectorized backend; None on the scalar reference backend.
         self._flat_acts = None
+        #: (socket, bank) -> the flat body's cached per-bank state (see
+        #: repro.engine.batch.bank_state); add_repair invalidates it.
+        self._act_banks: dict[tuple[int, int], tuple] = {}
         if self.backend is SimBackend.VECTORIZED:
             # Imported lazily: the engine imports the disturbance layer,
             # so a top-level import would cycle (and require numpy).
@@ -219,6 +222,7 @@ class SimulatedDram:
             raise DramError(f"row {defective_row} already repaired in bank {key}")
         bank_repairs[defective_row] = spare_row
         self._spare_owner.setdefault(key, {})[spare_row] = defective_row
+        self._act_banks.pop(key, None)
 
     def _to_internal(self, socket: int, bank: int, row: int) -> int:
         return self._repairs.get((socket, bank), {}).get(row, row)
@@ -247,13 +251,16 @@ class SimulatedDram:
         stored data and appended to :attr:`flips_log`).
 
         On the vectorized backend a plain ACT (no registered hooks, no
-        *open_seconds*) runs as a one-row batch through the flat per-ACT
-        body of :func:`repro.engine.batch.run_activation_batch`, which
-        performs the same operations in the same order as the reference
-        body below; hooks and RowPress open time always take the
-        reference body."""
+        *open_seconds*) checks its row and runs as a one-row batch through
+        the flat per-ACT body of
+        :func:`repro.engine.batch.run_activation_batch`, which performs
+        the same operations in the same order as the reference body
+        below.  Its set-up is one cached per-bank lookup, so a plain ACT
+        costs about what one ACT inside a long batch costs.  Hooks and
+        RowPress open time always take the reference body."""
         flat = self._flat_acts
         if flat is not None and not open_seconds and not self._hooks:
+            self.geom.check_row(row)
             return flat(self, socket, bank, (row,))
         self.geom.check_row(row)
         self.counters.activations += 1
@@ -447,21 +454,47 @@ class SimulatedDram:
         return out
 
     def write(self, hpa: int, data: bytes) -> None:
-        """Write bytes at *hpa*; clears any flips in the written bits."""
+        """Write bytes at *hpa*; clears any flips in the written bits.
+
+        Each touched cache line costs one ACT followed by its store (a
+        later line's ACT may flip bits in an earlier line's row, and with
+        ``data_dependent_flips`` the outcome depends on the stored data,
+        so the order is part of the contract).  A span inside one cache
+        line is decoded directly; longer spans go through :meth:`_lines`.
+        On the vectorized backend each line's ACT is a plain ACT (see
+        :meth:`activate`) without the ``activate`` frame."""
         self.counters.writes += 1
-        for socket, bank, row, col, offset, take in self._lines(hpa, len(data)):
-            self.activate(socket, bank, row)
-            store = self._row_store(socket, bank, row)
-            store[col : col + take] = data[offset : offset + take]
-            flips = self._flips.get((socket, bank, row))
+        length = len(data)
+        # Call the flat body directly where activate would: without
+        # hooks now, no hook can register during this write.
+        flat = None if self._hooks else self._flat_acts
+        line_off = hpa % CACHE_LINE
+        if 0 < length <= CACHE_LINE - line_off:
+            socket, bank, row, col = self.mapping.decode_line(hpa - line_off)
+            pieces = ((socket, bank, row, col + line_off, 0, length),)
+        else:
+            pieces = self._lines(hpa, length)
+        stores = self._data
+        flipped = self._flips
+        for socket, bank, row, col, offset, take in pieces:
+            if flat is None:
+                self.activate(socket, bank, row)
+            else:
+                flat(self, socket, bank, (row,))
+            key = (socket, bank, row)
+            store = stores.get(key)
+            if store is None:
+                store = self._row_store(socket, bank, row)
+            store[col : col + take] = data if take == length else data[offset : offset + take]
+            flips = flipped.get(key)
             if flips:
                 low, high = col * 8, (col + take) * 8
                 for bit in [b for b in flips if low <= b < high]:
                     flips.remove(bit)
                 if not flips:
-                    del self._flips[(socket, bank, row)]
+                    del flipped[key]
         for hook in self._hooks:
-            hook.on_write(self, hpa, len(data))
+            hook.on_write(self, hpa, length)
 
     def read(self, hpa: int, length: int, *, ecc: bool = True) -> bytes:
         """Read bytes at *hpa*.
@@ -471,24 +504,63 @@ class SimulatedDram:
         flips inside that slice applied (never a copy of the whole row).
         With ECC on, single-bit-per-word errors in the touched words are
         corrected in the returned data (and logged); a double-bit word
-        raises :class:`UncorrectableError` (machine check, §2.5)."""
+        raises :class:`UncorrectableError` (machine check, §2.5).
+
+        A span inside one cache line (an EPT entry, a guest PTE) is
+        decoded directly and sensed without the per-line assembly, and
+        on the vectorized backend its ACT is a plain ACT (see
+        :meth:`activate`) without the ``activate`` frame; longer spans
+        go through :meth:`_lines`."""
         self.counters.reads += 1
-        out = bytearray(length)
-        for socket, bank, row, col, offset, take in self._lines(hpa, length):
-            self.activate(socket, bank, row)
+        flat = None if self._hooks else self._flat_acts
+        line_off = hpa % CACHE_LINE
+        if 0 < length <= CACHE_LINE - line_off:
+            socket, bank, row, col = self.mapping.decode_line(hpa - line_off)
+            col += line_off
+            if flat is None:
+                self.activate(socket, bank, row)
+            else:
+                flat(self, socket, bank, (row,))
             key = (socket, bank, row)
             stored = self._data.get(key)
-            chunk = stored[col : col + take] if stored is not None else bytearray(take)
+            flips = self._flips.get(key)
+            if not flips:
+                return bytes(stored[col : col + length]) if stored is not None else bytes(length)
+            return bytes(self._sense(key, stored, col, length, flips, ecc))
+        out = bytearray(length)
+        for socket, bank, row, col, offset, take in self._lines(hpa, length):
+            if flat is None:
+                self.activate(socket, bank, row)
+            else:
+                flat(self, socket, bank, (row,))
+            key = (socket, bank, row)
+            stored = self._data.get(key)
             flips = self._flips.get(key)
             if flips:
-                low, high = col * 8, (col + take) * 8
-                for bit in flips:
-                    if low <= bit < high:
-                        chunk[bit // 8 - col] ^= 1 << (bit % 8)
-                if ecc:
-                    chunk = self._ecc_correct_chunk(socket, bank, row, col, take, chunk)
-            out[offset : offset + take] = chunk
+                out[offset : offset + take] = self._sense(key, stored, col, take, flips, ecc)
+            elif stored is not None:
+                out[offset : offset + take] = stored[col : col + take]
         return bytes(out)
+
+    def _sense(
+        self,
+        key: tuple[int, int, int],
+        stored: bytearray | None,
+        col: int,
+        take: int,
+        flips: set[int],
+        ecc: bool,
+    ) -> bytearray:
+        """Bytes ``[col, col+take)`` of a row carrying *flips*: the stored
+        slice with the flips inside it applied, ECC-corrected when *ecc*."""
+        chunk = stored[col : col + take] if stored is not None else bytearray(take)
+        low, high = col * 8, (col + take) * 8
+        for bit in flips:
+            if low <= bit < high:
+                chunk[bit // 8 - col] ^= 1 << (bit % 8)
+        if ecc:
+            chunk = self._ecc_correct_chunk(*key, col, take, chunk)
+        return chunk
 
     def read_region(self, hpa: int, length: int, *, ecc: bool = True) -> bytes:
         """Bulk read of ``[hpa, hpa+length)`` with open-row semantics.

@@ -213,32 +213,59 @@ class BatchedDisturbanceModel(DisturbanceModel):
         return got[0][row] if got is not None else 0.0
 
 
+def bank_state(dram: "SimulatedDram", socket: int, bank: int) -> tuple[Any, Any, Any]:
+    """One bank's ``(pressure, threshold, repairs)`` for the flat body,
+    cached in ``dram._act_banks``.
+
+    The pressure and threshold tables are never replaced (a full
+    refresh clears them in place) and a bank's repair dict, once it
+    exists, is only mutated in place, so an entry can go stale only when
+    :meth:`SimulatedDram.add_repair` gives the bank its first repair;
+    ``add_repair`` therefore drops the bank's entry."""
+    dist = dram.disturbance
+    if not isinstance(dist, BatchedDisturbanceModel):
+        raise DramError("run_activation_batch needs the vectorized backend")
+    state = dram._act_banks[(socket, bank)] = (
+        *dist._bank_arrays(socket, bank),
+        dram._repairs.get((socket, bank)),
+    )
+    return state
+
+
+def check_rows(dram: "SimulatedDram", rows: Sequence[int]) -> None:
+    """Raise the canonical range error for the first out-of-bank row."""
+    rows_per_bank = dram.geom.rows_per_bank
+    for row in rows:
+        if not 0 <= row < rows_per_bank:
+            dram.geom.check_row(row)
+
+
 def run_activation_batch(
     dram: "SimulatedDram", socket: int, bank: int, rows: Sequence[int]
 ) -> list[BitFlip]:
     """Issue *rows* as one batch of ACTs to (socket, bank).
 
     Requires the module's disturbance model to be a
-    :class:`BatchedDisturbanceModel` (the vectorized model is one).
-    This is the vectorized backend's one flat per-ACT body:
-    :func:`repro.engine.vector.run_activation_batch_vectorized` calls it
-    for every batch it does not vectorize, and
-    :meth:`SimulatedDram.activate` calls it with a one-row batch for
-    every plain ACT.  Every per-ACT side effect of the scalar
-    ``activate`` happens here in the same order; fault hooks still fire
-    per activation, so injected faults land mid-batch exactly as they
-    would mid-loop.  Set-up stays small (RNG draws and flip emission
-    load their state only when they happen) because one-row batches
-    are the common case.
+    :class:`BatchedDisturbanceModel` (the vectorized model is one), and
+    every row in range: callers check them (:func:`check_rows`, or the
+    single row of a plain ACT), and rows decoded from an address are in
+    range by construction.  This is the vectorized backend's one flat
+    per-ACT body: :func:`repro.engine.vector.run_activation_batch_vectorized`
+    calls it for every batch it does not vectorize, and
+    :class:`SimulatedDram` calls it with a one-row batch for every plain
+    ACT (``activate`` and each cache line of ``read``/``write``).  Every
+    per-ACT side effect of the scalar ``activate`` happens here in the
+    same order; fault hooks still fire per activation, so injected
+    faults land mid-batch exactly as they would mid-loop.  One-row
+    batches are the common case, so set-up is one cached per-bank lookup
+    (:func:`bank_state`) plus a few attribute loads: TRR state is
+    hoisted only when TRR is on, and RNG draws and flip emission load
+    their state only when they happen.
     """
+    state = dram._act_banks.get((socket, bank))
+    press, thresh, repairs = state or bank_state(dram, socket, bank)
     dist = dram.disturbance
-    if not isinstance(dist, BatchedDisturbanceModel):
-        raise DramError("run_activation_batch needs the vectorized backend")
-    rows_per_bank = dram.geom.rows_per_bank
-    for row in rows:
-        if not 0 <= row < rows_per_bank:
-            dram.geom.check_row(row)  # raises the canonical error
-
+    table = dist._neighbor_table
     counters = dram.counters
     hooks = dram._hooks
     trr = dram.trr
@@ -246,11 +273,6 @@ def run_activation_batch(
     window = dram.refresh_window
     clock = dram.clock
     last_refresh = dram._last_full_refresh
-    bank_key = (socket, bank)
-    repairs = dram._repairs.get(bank_key)
-    tables = dist._banks.get(bank_key)
-    press, thresh = tables if tables is not None else dist._bank_arrays(socket, bank)
-    table = dist._neighbor_table
     out: list[BitFlip] = []
     # Observability: one module-attribute read per batch, then a local
     # bool per ACT — the zero-cost-when-disabled contract of repro.obs.
@@ -268,7 +290,7 @@ def run_activation_batch(
         slots = cfg.slots
         acts_since_ref = sampler._acts_since_ref
         trr_every = dram.trr_ref_every
-        bank_acts = dram._acts_by_bank.get(bank_key, 0)
+        bank_acts = dram._acts_by_bank.get((socket, bank), 0)
 
     for row in rows:
         if hooks:
@@ -288,7 +310,7 @@ def run_activation_batch(
             # A hook may advance time or plant a late repair; re-sync.
             clock = dram.clock
             last_refresh = dram._last_full_refresh
-            repairs = dram._repairs.get(bank_key)
+            repairs = dram._repairs.get((socket, bank))
         internal = repairs.get(row, row) if repairs else row
 
         if trr is not None:
@@ -353,5 +375,5 @@ def run_activation_batch(
         counters.activations += len(rows)
     if trr is not None:
         sampler._acts_since_ref = acts_since_ref
-        dram._acts_by_bank[bank_key] = bank_acts
+        dram._acts_by_bank[(socket, bank)] = bank_acts
     return out

@@ -66,7 +66,7 @@ import numpy as np
 from repro import obs
 from repro.dram.disturbance import BitFlip, DisturbanceProfile
 from repro.dram.geometry import DRAMGeometry
-from repro.engine.batch import BatchedDisturbanceModel, run_activation_batch
+from repro.engine.batch import BatchedDisturbanceModel, check_rows, run_activation_batch
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (module -> engine)
@@ -202,12 +202,14 @@ def run_activation_batch_vectorized(
         # Fault hooks mutate mid-batch state, tracing must interleave
         # events per ACT, and short batches don't amortize the numpy
         # set-up; the fallback loop is exact for all three.
+        check_rows(dram, rows)
         return run_activation_batch(dram, socket, bank, rows)
 
     geom = dram.geom
     try:
         rows_arr = np.asarray(rows, dtype=np.int64)
     except (OverflowError, TypeError):
+        check_rows(dram, rows)
         return run_activation_batch(dram, socket, bank, rows)
     minrow = int(rows_arr.min())
     maxrow = int(rows_arr.max())

@@ -20,7 +20,7 @@ EXECUTE = 1 << 2
 LARGE_PAGE = 1 << 7
 
 #: Physical frame number field, bits [51:12].
-_ADDR_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
+ADDR_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
 
 ENTRY_BYTES = 8
 ENTRIES_PER_PAGE = 512
@@ -44,9 +44,9 @@ class EptEntry:
     ) -> "EptEntry":
         if target_hpa % 4096 != 0:
             raise EptError(f"EPT target {target_hpa:#x} not 4 KiB aligned")
-        if target_hpa & ~_ADDR_MASK:
+        if target_hpa & ~ADDR_MASK:
             raise EptError(f"EPT target {target_hpa:#x} exceeds 52-bit space")
-        value = target_hpa & _ADDR_MASK
+        value = target_hpa & ADDR_MASK
         if readable:
             value |= READ
         if writable:
@@ -93,7 +93,7 @@ class EptEntry:
 
     @property
     def target_hpa(self) -> int:
-        return self.value & _ADDR_MASK
+        return self.value & ADDR_MASK
 
     def __repr__(self) -> str:
         flags = "".join(

@@ -4,9 +4,17 @@ The table's nodes are real 4 KiB pages inside a :class:`SimulatedDram`;
 ``translate`` performs an honest walk, reading each entry's 8 bytes from
 DRAM, and ``map`` builds the table one entry read or write at a time.
 Each entry access costs one ACT on the entry's row and senses only the
-8 bytes it touches (the stored slice plus the flips inside it), so the
-per-entry ACT stream stays exact while a read costs no more than the
-bytes it returns.  Consequences, exactly as on hardware:
+8 bytes it touches (the stored slice plus the flips inside it).  An
+entry lies inside one cache line, so ``SimulatedDram.read``/``write``
+decode it directly and, on the vectorized backend, issue its ACT as a
+plain ACT with cached per-bank state: an entry access costs little more
+than its ACT.  The walk tests the raw entry as an integer (R/W/X and
+bit 7 by mask; :class:`~repro.ept.entry.EptEntry` stays the codec), and
+zeroing a new table page is 64 line writes, one ACT each, each ACT
+followed by its store.  Bit 7 marks a leaf only in a PD entry; a PML4
+or PDPT entry with bit 7 set (a flip) is refused by ``map`` and walked
+through by ``translate`` and ``unmap``.  Consequences, exactly as on
+hardware:
 
 - ECC corrects single-bit flips in entries transparently;
 - a double-bit flip raises a machine check
@@ -24,19 +32,39 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.dram.module import SimulatedDram
-from repro.ept.entry import ENTRIES_PER_PAGE, ENTRY_BYTES, EptEntry
+from repro.ept.entry import (
+    ADDR_MASK,
+    ENTRIES_PER_PAGE,
+    ENTRY_BYTES,
+    EXECUTE,
+    LARGE_PAGE,
+    READ,
+    WRITE,
+    EptEntry,
+)
 from repro.ept.integrity import SecureEptChecker
 from repro.errors import EptError, EptViolation
 from repro.units import PAGE_2M, PAGE_4K
 
 _LEVELS = 4
 _GPA_BITS = 48
+#: An entry is present when any of R/W/X is set (``EptEntry.present``).
+_RWX = READ | WRITE | EXECUTE
 
 
-def _index(gpa: int, level: int) -> int:
-    """Entry index at *level* (0 = root PML4, 3 = leaf PT)."""
+def _entry_value(target_hpa: int, large: bool = False) -> int:
+    """``EptEntry.make(target_hpa, large=large).value`` without the
+    object; an unencodable target raises the codec's own error."""
+    if target_hpa % PAGE_4K or target_hpa & ~ADDR_MASK:
+        return EptEntry.make(target_hpa, large=large).value
+    return target_hpa | _RWX | (LARGE_PAGE if large else 0)
+
+
+def _entry_addr(table: int, gpa: int, level: int) -> int:
+    """Address of *gpa*'s entry in the *level* table page at *table*
+    (0 = root PML4, 3 = leaf PT)."""
     shift = 12 + 9 * (_LEVELS - 1 - level)
-    return (gpa >> shift) & (ENTRIES_PER_PAGE - 1)
+    return table + ((gpa >> shift) & (ENTRIES_PER_PAGE - 1)) * ENTRY_BYTES
 
 
 def ept_page_count(vm_bytes: int, page_size: int = PAGE_2M, *, contiguous: bool = True) -> int:
@@ -91,19 +119,19 @@ class ExtendedPageTable:
         self.table_pages.append(addr)
         return addr
 
-    def _read_entry(self, table: int, index: int) -> tuple[int, EptEntry]:
-        addr = table + index * ENTRY_BYTES
+    def _read_entry(self, addr: int) -> int:
+        """The 8-byte entry at *addr* as an integer (checked first when a
+        secure-EPT checker is attached)."""
         raw = self.dram.read(addr, ENTRY_BYTES, ecc=self.ecc_reads)
         if self.checker is not None:
             self.checker.verify(addr, raw)
-        return addr, EptEntry.unpack(raw)
+        return int.from_bytes(raw, "little")
 
-    def _write_entry(self, table: int, index: int, entry: EptEntry) -> None:
-        addr = table + index * ENTRY_BYTES
-        raw = entry.pack()
+    def _write_entry(self, addr: int, value: int) -> None:
+        raw = value.to_bytes(ENTRY_BYTES, "little")
         self.dram.write(addr, raw)
         if self.checker is not None:
-            if entry.present:
+            if value & _RWX:
                 self.checker.record(addr, raw)
             else:
                 self.checker.forget(addr)
@@ -134,20 +162,19 @@ class ExtendedPageTable:
         table = self.root
         leaf_level = 2 if large else 3
         for level in range(leaf_level):
-            addr, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
-                child = self._new_table_page()
-                entry = EptEntry.make(child)
-                self._write_entry(table, _index(gpa, level), entry)
-            elif entry.large:
+            addr = _entry_addr(table, gpa, level)
+            value = self._read_entry(addr)
+            if not value & _RWX:
+                table = self._new_table_page()
+                self._write_entry(addr, _entry_value(table))
+            elif value & LARGE_PAGE:
                 raise EptError(f"GPA {gpa:#x} already covered by a large mapping")
-            table = entry.target_hpa
-        _, leaf = self._read_entry(table, _index(gpa, leaf_level))
-        if leaf.present:
+            else:
+                table = value & ADDR_MASK
+        addr = _entry_addr(table, gpa, leaf_level)
+        if self._read_entry(addr) & _RWX:
             raise EptError(f"GPA {gpa:#x} already mapped")
-        self._write_entry(
-            table, _index(gpa, leaf_level), EptEntry.make(hpa, large=large)
-        )
+        self._write_entry(addr, _entry_value(hpa, large))
 
     def unmap(self, gpa: int, size: int) -> None:
         """Clear leaf entries covering [gpa, gpa+size)."""
@@ -160,15 +187,22 @@ class ExtendedPageTable:
         self.mapped_bytes = max(0, self.mapped_bytes - size)
 
     def _unmap_one(self, gpa: int) -> int:
+        """Clear the leaf mapping *gpa*; returns the bytes it mapped.
+
+        Bit 7 marks a leaf only at the PD level, as in :meth:`translate`:
+        a PML4 or PDPT entry with bit 7 set (a flip) still points at its
+        next-level table, so only *gpa*'s own leaf is cleared."""
         table = self.root
         for level in range(_LEVELS):
-            addr, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
+            addr = _entry_addr(table, gpa, level)
+            value = self._read_entry(addr)
+            if not value & _RWX:
                 raise EptViolation(f"GPA {gpa:#x} not mapped")
-            if entry.large or level == _LEVELS - 1:
-                self._write_entry(table, _index(gpa, level), EptEntry.empty())
-                return PAGE_2M if entry.large else PAGE_4K
-            table = entry.target_hpa
+            large = level == 2 and value & LARGE_PAGE
+            if large or level == _LEVELS - 1:
+                self._write_entry(addr, 0)
+                return PAGE_2M if large else PAGE_4K
+            table = value & ADDR_MASK
         raise EptError("unreachable")
 
     # ------------------------------------------------------------------
@@ -195,15 +229,13 @@ class ExtendedPageTable:
         delta = new_start - old_start
         # Collect first, mutate after: splitting a leaf mid-walk would
         # invalidate the traversal.
-        hits: list[tuple[int, int, EptEntry, int, int]] = []
+        hits: list[tuple[int, int, int, int]] = []
         self._walk_leaves(self.root, 0, 0, old_start, old_end, hits)
         moved = 0
-        for table, index, entry, gpa, lbytes in hits:
-            tgt = entry.target_hpa
+        for addr, value, gpa, lbytes in hits:
+            tgt = value & ADDR_MASK
             if tgt >= old_start and tgt + lbytes <= old_end:
-                self._write_entry(
-                    table, index, EptEntry.make(tgt + delta, large=entry.large)
-                )
+                self._write_entry(addr, _entry_value(tgt + delta, bool(value & LARGE_PAGE)))
                 moved += lbytes
             else:  # large leaf straddling the range boundary: split to 4K
                 self.unmap(gpa, lbytes)
@@ -223,30 +255,31 @@ class ExtendedPageTable:
         gpa_base: int,
         old_start: int,
         old_end: int,
-        hits: list[tuple[int, int, "EptEntry", int, int]],
+        hits: list[tuple[int, int, int, int]],
     ) -> None:
-        """Depth-first leaf scan; reads each table page with one DRAM
-        access (not 512) so the walk itself barely disturbs the media."""
+        """Depth-first leaf scan collecting ``(entry addr, entry value,
+        gpa, leaf bytes)``; reads each table page with one DRAM access
+        (not 512) so the walk itself barely disturbs the media."""
         page = self.dram.read(table, PAGE_4K, ecc=self.ecc_reads)
         shift = 12 + 9 * (_LEVELS - 1 - level)
         for index in range(ENTRIES_PER_PAGE):
-            raw = bytes(page[index * ENTRY_BYTES : (index + 1) * ENTRY_BYTES])
-            entry = EptEntry.unpack(raw)
-            if not entry.present:
+            raw = page[index * ENTRY_BYTES : (index + 1) * ENTRY_BYTES]
+            value = int.from_bytes(raw, "little")
+            if not value & _RWX:
                 continue
+            addr = table + index * ENTRY_BYTES
             if self.checker is not None:
-                self.checker.verify(table + index * ENTRY_BYTES, raw)
+                self.checker.verify(addr, raw)
             gpa = gpa_base + (index << shift)
-            if entry.large and level == 2:
-                if entry.target_hpa < old_end and entry.target_hpa + PAGE_2M > old_start:
-                    hits.append((table, index, entry, gpa, PAGE_2M))
+            tgt = value & ADDR_MASK
+            if level == 2 and value & LARGE_PAGE:
+                if tgt < old_end and tgt + PAGE_2M > old_start:
+                    hits.append((addr, value, gpa, PAGE_2M))
             elif level == _LEVELS - 1:
-                if old_start <= entry.target_hpa < old_end:
-                    hits.append((table, index, entry, gpa, PAGE_4K))
+                if old_start <= tgt < old_end:
+                    hits.append((addr, value, gpa, PAGE_4K))
             else:
-                self._walk_leaves(
-                    entry.target_hpa, level + 1, gpa, old_start, old_end, hits
-                )
+                self._walk_leaves(tgt, level + 1, gpa, old_start, old_end, hits)
 
     def translate(self, gpa: int) -> int:
         """Walk the table in DRAM; returns the HPA for *gpa*.
@@ -261,14 +294,14 @@ class ExtendedPageTable:
             raise EptViolation(f"GPA {gpa:#x} outside guest address space")
         table = self.root
         for level in range(_LEVELS):
-            _, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
+            value = self._read_entry(_entry_addr(table, gpa, level))
+            if not value & _RWX:
                 raise EptViolation(f"GPA {gpa:#x} not mapped (level {level})")
-            if entry.large and level == 2:
-                return entry.target_hpa + (gpa & (PAGE_2M - 1))
+            if level == 2 and value & LARGE_PAGE:
+                return (value & ADDR_MASK) + (gpa & (PAGE_2M - 1))
             if level == _LEVELS - 1:
-                return entry.target_hpa + (gpa & (PAGE_4K - 1))
-            table = entry.target_hpa
+                return (value & ADDR_MASK) + (gpa & (PAGE_4K - 1))
+            table = value & ADDR_MASK
         raise EptError("unreachable")
 
     def leaf_entry_addr(self, gpa: int) -> int:
@@ -276,10 +309,11 @@ class ExtendedPageTable:
         would have to land) — used by the EPT-attack experiments."""
         table = self.root
         for level in range(_LEVELS):
-            addr, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
+            addr = _entry_addr(table, gpa, level)
+            value = self._read_entry(addr)
+            if not value & _RWX:
                 raise EptViolation(f"GPA {gpa:#x} not mapped")
-            if (entry.large and level == 2) or level == _LEVELS - 1:
+            if (level == 2 and value & LARGE_PAGE) or level == _LEVELS - 1:
                 return addr
-            table = entry.target_hpa
+            table = value & ADDR_MASK
         raise EptError("unreachable")

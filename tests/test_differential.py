@@ -372,16 +372,34 @@ class TestEndToEndBackends:
             ), backend
 
 
-def _ept_build(backend: str, *, hooked: bool) -> dict:
+#: ``_ept_build`` variants; see its docstring.
+EPT_BUILD_VARIANTS = ("checker", "checker+injector", "trr", "late-repair", "remap")
+
+
+def _ept_build(backend: str, variant: str) -> dict:
     """Build a four-level EPT on the default small machine, with a
     secure-EPT checker verifying every entry read, and return everything
     the build left behind.  Table pages sit one per row group, so the
     entry reads that hammer a table page's row disturb the rows holding
     the neighbouring table pages: the build flips its own table bits.
-    With *hooked*, a fault injector also plants single-bit errors in the
-    words holding entry 0 of the root, PDPT and PD pages, which every
-    map call reads (and ECC corrects), while the build runs."""
+
+    *variant* adds one ingredient to that build:
+
+    - ``"checker"``: nothing;
+    - ``"checker+injector"``: a fault injector plants single-bit errors
+      in the words holding entry 0 of the root, PDPT and PD pages, which
+      every map call reads (and ECC corrects), while the build runs;
+    - ``"trr"``: TRR is on, so every entry access also feeds the sampler
+      and ticks towards a REF (whose refreshes keep the build's victims
+      from flipping);
+    - ``"late-repair"``: a late repair fires during the third map call
+      and moves the root page's row onto spare cells; the injector is
+      detached after that call, so the remaining calls run plain ACTs,
+      which must see the bank's new repair;
+    - ``"remap"``: after the build, one GPA range is unmapped and two
+      host ranges are retargeted, one of them splitting a 2 MiB leaf."""
     from repro.dram.media import MediaAddress
+    from repro.dram.trr import TrrConfig
     from repro.ept.integrity import SecureEptChecker
     from repro.ept.table import ExtendedPageTable
     from repro.errors import ReproError
@@ -390,14 +408,18 @@ def _ept_build(backend: str, *, hooked: bool) -> dict:
     from repro.hv import Machine
     from repro.units import KiB, PAGE_4K
 
-    machine = Machine.small(seed=3, backend=backend)
+    machine = Machine.small(
+        seed=3,
+        backend=backend,
+        trr_config=TrrConfig() if variant == "trr" else None,
+    )
     dram, geom = machine.dram, machine.geom
     page_addrs = range(0, geom.total_bytes // 2, geom.row_group_bytes)
     pages = iter(page_addrs)
     checker = SecureEptChecker()
     ept = ExtendedPageTable(dram, lambda: next(pages), checker=checker)
     injector = None
-    if hooked:
+    if variant == "checker+injector":
         specs = []
         for level, page in enumerate(page_addrs[:3]):
             socket, bank, row, col = machine.mapping.decode_line(page)
@@ -407,14 +429,32 @@ def _ept_build(backend: str, *, hooked: bool) -> dict:
             ))
         injector = FaultInjector(dram, FaultPlan(specs=specs, seed=3)).attach()
     error = None
+    moved = None
     try:
         for i in range(6):
+            late_repair = variant == "late-repair" and i == 2
+            if late_repair:
+                socket, bank, row, _col = machine.mapping.decode_line(ept.root)
+                spec = FaultSpec(
+                    kind=FaultKind.LATE_REPAIR, socket=socket, bank=bank, row=row,
+                    at_clock=dram.clock + 5e-5, spare_row=row + 40,
+                )
+                injector = FaultInjector(dram, FaultPlan(specs=[spec], seed=3)).attach()
             # Host frames off 2 MiB alignment force 512 4 KiB leaves per map.
             ept.map(i * 2 * MiB, 16 * MiB + PAGE_4K * (1 + i % 7), 2 * MiB)
+            if late_repair:
+                injector.detach()
+        if variant == "remap":
+            ept.map(12 * MiB, 20 * MiB, 2 * MiB)  # one 2 MiB leaf
+            ept.unmap(2 * MiB, 2 * MiB)
+            moved = (
+                ept.remap_range(16 * MiB + 64 * KiB, 64 * KiB, 24 * MiB),
+                ept.remap_range(20 * MiB + 512 * KiB, 512 * KiB, 26 * MiB),
+            )
     except ReproError as exc:
         error = (type(exc).__name__, str(exc))
     translations = []
-    for gpa in range(0, 12 * MiB, 192 * KiB):
+    for gpa in range(0, 14 * MiB, 192 * KiB):
         try:
             translations.append(ept.translate(gpa))
         except ReproError as exc:
@@ -430,6 +470,7 @@ def _ept_build(backend: str, *, hooked: bool) -> dict:
 
     return {
         "error": error,
+        "moved": moved,
         "translations": translations,
         "table_pages": list(ept.table_pages),
         "checker": (checker.checks, checker.failures),
@@ -440,6 +481,17 @@ def _ept_build(backend: str, *, hooked: bool) -> dict:
         "ecc": list(dram.ecc.stats.events),
         "counters": vars(dram.counters).copy(),
         "clock": dram.clock,
+        "pressure": {
+            (0, bank, row): dram.disturbance.pressure_on(0, bank, row)
+            for bank in range(geom.banks_per_socket)
+            for row in range(geom.rows_per_bank)
+            if dram.disturbance.pressure_on(0, bank, row)
+        },
+        "repairs": {k: dict(v) for k, v in dram._repairs.items()},
+        "trr": None if dram.trr is None else (
+            dram.trr.neighbor_refreshes,
+            {k: (dict(t._counters), t._acts_since_ref) for k, t in dram.trr._samplers.items()},
+        ),
         "injected": None if injector is None else [str(e) for e in injector.events],
     }
 
@@ -449,15 +501,29 @@ class TestEptBuild:
     ``SimulatedDram.read``/``write``; every engine leg must leave the same
     DRAM, ECC and checker state, flips in the table pages included."""
 
-    @pytest.mark.parametrize("hooked", (False, True), ids=("checker", "checker+injector"))
-    def test_build_identical_on_every_leg(self, hooked):
-        builds = on_each_leg(lambda backend: _ept_build(backend, hooked=hooked))
+    @pytest.mark.parametrize("variant", EPT_BUILD_VARIANTS)
+    def test_build_identical_on_every_leg(self, variant):
+        builds = on_each_leg(lambda backend: _ept_build(backend, variant))
         ref = builds["scalar"]
-        assert ref["table_flips"] > 0, "the build must flip its own table bits"
+        assert ref["error"] is None, ref["error"]
         assert ref["checker"][0] > 0
-        if hooked:
+        if variant == "trr":
+            # TRR refreshes the build's victims before any of them flips.
+            assert ref["counters"]["trr_refs"] > 0 and ref["trr"][0] > 0
+        elif variant == "late-repair":
+            ((_bank, repairs),) = ref["repairs"].items()
+            ((_row, spare),) = repairs.items()
+            assert ref["injected"], "the repair must fire mid-build"
+            assert any(f.aggressor_row == spare for f in ref["flips"]), (
+                "root-page ACTs after the repair must disturb the spare's neighbours"
+            )
+        else:
+            assert ref["table_flips"] > 0, "the build must flip its own table bits"
+        if variant == "checker+injector":
             assert ref["injected"], "the planted errors must fire during the build"
             assert ref["ecc"], "entry reads must correct the planted errors"
+        if variant == "remap":
+            assert all(ref["moved"]), "both remaps must retarget leaves"
         for leg in ENGINE_LEGS[1:]:
             problems = diff_transcripts(0, ref, builds[leg], labels=("scalar", leg))
             assert not problems, "\n".join(problems)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import ENGINE_LEGS, sim_backend
+
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.module import SimulatedDram
 from repro.ept import EptEntry, ExtendedPageTable, SecureEptChecker, ept_page_count
@@ -255,3 +257,67 @@ class TestSecureEpt:
         checker.forget(0x1000)
         checker.verify(0x1000, b"\x03" * 8)  # no longer covered
         assert not checker.covers(0x1000)
+
+
+def _plant_entry_bits(dram, addr, bits):
+    """Flip *bits* of the 8-byte entry at *addr* in the cells themselves.
+    Three flips in one word get past SEC-DED unnoticed."""
+    socket, bank, row, col = dram.mapping.decode_line(addr - addr % 64)
+    for bit in bits:
+        dram.inject_bit_error(socket, bank, row, (col + addr % 64) * 8 + bit)
+
+
+#: Bit 7 (the large-page bit) plus two ignored bits (9, 10): a silent
+#: three-bit flip that only sets bit 7 of the entry.
+BIT7_FLIP = (7, 9, 10)
+
+
+@pytest.fixture(params=ENGINE_LEGS)
+def leg_dram(request):
+    """The test DRAM on each engine leg, the leg active for the test."""
+    with sim_backend(request.param) as backend:
+        yield SimulatedDram(GEOM, trr_config=None, backend=backend)
+
+
+class TestEptErrorPaths:
+    """The exact walk errors, and unmap under a flipped upper-level
+    bit 7, on every engine leg."""
+
+    def test_map_twice(self, leg_dram):
+        ept = make_ept(leg_dram)
+        ept.map(0x0, 0x80000, PAGE_4K)
+        ept.map(PAGE_2M, 4 * PAGE_2M, PAGE_2M)
+        with pytest.raises(EptError) as small:
+            ept.map(0x0, 0x90000, PAGE_4K)
+        with pytest.raises(EptError) as large:
+            ept.map(PAGE_2M, 6 * PAGE_2M, PAGE_2M)
+        assert str(small.value) == "GPA 0x0 already mapped"
+        assert str(large.value) == "GPA 0x200000 already mapped"
+
+    @pytest.mark.parametrize("level", (0, 1), ids=("pml4", "pdpt"))
+    def test_map_under_flipped_bit7(self, leg_dram, level):
+        dram = leg_dram
+        ept = make_ept(dram)
+        ept.map(0x0, 4 * PAGE_2M, PAGE_2M)
+        # table_pages: root (PML4), then the PDPT and PD the map created;
+        # entry 0 of each covers GPA 0.
+        _plant_entry_bits(dram, ept.table_pages[level], BIT7_FLIP)
+        with pytest.raises(EptError) as exc:
+            ept.map(PAGE_2M, 6 * PAGE_2M, PAGE_2M)
+        assert str(exc.value) == "GPA 0x200000 already covered by a large mapping"
+        assert ept.translate(0x0) == 4 * PAGE_2M  # bit 7 is a leaf only in a PD
+
+    @pytest.mark.parametrize("level", (0, 1), ids=("pml4", "pdpt"))
+    def test_unmap_under_flipped_bit7_clears_only_the_leaf(self, leg_dram, level):
+        dram = leg_dram
+        ept = make_ept(dram)
+        ept.map(0x0, 4 * PAGE_2M, PAGE_2M)
+        ept.map(PAGE_2M, 6 * PAGE_2M, PAGE_2M)
+        ept.map(2 * PAGE_2M, 0x80000, PAGE_4K)
+        _plant_entry_bits(dram, ept.table_pages[level], BIT7_FLIP)
+        ept.unmap(0x0, PAGE_2M)
+        with pytest.raises(EptViolation):
+            ept.translate(0x0)
+        assert ept.translate(PAGE_2M + 0x1234) == 6 * PAGE_2M + 0x1234
+        assert ept.translate(2 * PAGE_2M) == 0x80000
+        assert ept.mapped_bytes == PAGE_2M + PAGE_4K
